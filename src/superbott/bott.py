@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional, Tuple
+from operator import sub
+from typing import AbstractSet, Dict, NamedTuple, Optional, Tuple
 
 from .characters import GLWeight, GradedCharacter, external_product
 
@@ -35,12 +36,49 @@ def bott(gamma: GLWeight) -> Optional[Tuple[int, GLWeight]]:
     return inversions, w
 
 
-def levi_to_full(w: LeviWeight, p: int, m: int) -> GLWeight:
-    """Concatenate the quotient block (length m-p) and sub block (length p)."""
+def rho_shift(w: GLWeight, offset: int) -> GLWeight:
+    """One Levi block of gamma + rho: w plus rho of its length plus offset.
+
+    The offset is the rank of the blocks after this one, so the quotient
+    block of GL(m) on Gr(p, C^m) takes offset p and the sub block offset 0.
+    A dominant block becomes strictly decreasing.
+    """
+    top = len(w) - 1 + offset
+    return tuple(x + top - i for i, x in enumerate(w))
+
+
+def levi_bott(
+    upper: GLWeight, upper_entries: AbstractSet[int], lower: GLWeight
+) -> Optional[Tuple[int, GLWeight]]:
+    """Bott on a Levi weight given by its two rho-shifted blocks.
+
+    ``upper`` and ``lower`` are the blocks of gamma + rho (see ``rho_shift``)
+    and ``upper_entries`` is the set of entries of ``upper``.  Each block is
+    strictly decreasing, so gamma + rho repeats an entry exactly when the
+    blocks share one, and the inversions to sort it are the pairs x < y
+    with x in ``upper`` and y in ``lower``.  Agrees with ``bott`` on the
+    concatenated weight.
+    """
+    if not upper_entries.isdisjoint(lower):
+        return None
+    v = sorted(upper + lower, reverse=True)
+    k, l = len(upper), len(lower)
+    # lower[j] sits at v.index(lower[j]) = j + #{x in upper : x > lower[j]},
+    # so the entries of upper below it number k + j - v.index(lower[j]).
+    degree = k * l + l * (l - 1) // 2 - sum(map(v.index, lower))
+    return degree, tuple(map(sub, v, range(len(v) - 1, -1, -1)))
+
+
+def _check_ranks(w: LeviWeight, p: int, m: int) -> None:
     if len(w.q_block) != m - p or len(w.r_block) != p:
         raise ValueError(
             f"block lengths {len(w.q_block)},{len(w.r_block)} do not match ranks {m - p},{p}"
         )
+
+
+def levi_to_full(w: LeviWeight, p: int, m: int) -> GLWeight:
+    """Concatenate the quotient block (length m-p) and sub block (length p)."""
+    _check_ranks(w, p, m)
     return tuple(w.q_block) + tuple(w.r_block)
 
 
@@ -48,7 +86,11 @@ def grassmannian_cohomology(p: int, m: int, terms: Dict[LeviWeight, int]) -> Gra
     """Cohomology on Gr(p, C^m) of a sum of irreducible homogeneous bundles."""
     gc = GradedCharacter(m, 0)
     for lw, mult in terms.items():
-        res = bott(levi_to_full(lw, p, m))
+        _check_ranks(lw, p, m)
+        if not all(a >= b for block in lw for a, b in zip(block, block[1:])):
+            raise ValueError(f"Levi weight {lw} is not dominant on each block")
+        upper = rho_shift(lw.q_block, p)
+        res = levi_bott(upper, frozenset(upper), rho_shift(lw.r_block, 0))
         if res is not None:
             degree, w = res
             gc.add_term(degree, (w, ()), mult)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, Tuple
 
+from .errors import SuperbottError
 from .partitions import (
     Partition,
     SkewShape,
@@ -39,7 +40,8 @@ def weyl_dim(w: GLWeight) -> int:
             num *= w[i] - w[j] + j - i
             den *= j - i
     dim, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise SuperbottError(f"Weyl dimension of {w} is not an integer")
     return dim
 
 

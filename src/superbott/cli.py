@@ -127,7 +127,6 @@ def _add_bundle_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=_int_pair, required=True, metavar="M,N")
     sub.add_argument("--alpha", type=_partition, default=Partition(), metavar="[..]")
     sub.add_argument("--beta", type=_partition, default=Partition(), metavar="[..]")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +197,7 @@ def _dispatch(args) -> int:
     if args.command in ("cohom", "verify", "e1"):
         spec = _bundle_from_args(args)
         if args.command == "e1":
-            gc = e1_page(spec, jobs=args.jobs)
+            gc = e1_page(spec)
             payload = _graded_json(gc)
             payload["case"] = hypothesis_case(spec).value
             payload["possibly_nondegenerate"] = gc.has_odd_support()
@@ -210,7 +209,7 @@ def _dispatch(args) -> int:
                     print("warning: odd-degree terms, spectral sequence possibly nondegenerate")
             return 0
         if args.command == "verify" or args.verify:
-            report = verify_main_theorem(spec, jobs=args.jobs)
+            report = verify_main_theorem(spec)
             if as_json:
                 _emit_json(
                     {

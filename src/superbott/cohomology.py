@@ -11,20 +11,20 @@ converges to; the first page need not degenerate, so it may carry more.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
-from .bott import bott
+from .bott import levi_bott, rho_shift
 from .characters import (
+    GLWeight,
     GradedCharacter,
     VirtualCharacter,
     dual_weight,
     pad_weight,
     rational_tensor,
 )
-from .errors import HypothesisError, TermLimitError
+from .errors import HypothesisError, SuperbottError, TermLimitError
 from .partitions import Partition, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
 from .superschur import SuperDim, rational_schur_char, super_schur_decompose
@@ -35,7 +35,16 @@ _MAX_TERMS_ENV = "SUPERBOTT_MAX_TERMS"
 
 def _max_terms() -> int:
     raw = os.environ.get(_MAX_TERMS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_TERMS
+    if not raw:
+        return DEFAULT_MAX_TERMS
+    message = f"{_MAX_TERMS_ENV} must be a positive integer, got {raw!r}"
+    try:
+        budget = int(raw)
+    except ValueError:
+        raise ValueError(message) from None
+    if budget < 1:
+        raise ValueError(message)
+    return budget
 
 
 class HypothesisCase(Enum):
@@ -120,6 +129,45 @@ def structure_sheaf_hilbert(spec: BundleSpec) -> HilbertSeries:
     raise HypothesisError("main theorem hypothesis not satisfied")
 
 
+# A rho-shifted Levi block with the set of its entries and its multiplicity.
+_ShiftedTerm = Tuple[GLWeight, FrozenSet[int], int]
+
+
+def _shifted_tensor(
+    memo: Dict[Tuple[GLWeight, GLWeight, int], List[_ShiftedTerm]],
+    a: GLWeight,
+    b: GLWeight,
+    offset: int,
+) -> List[_ShiftedTerm]:
+    """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift).
+
+    The key carries the offset: an even-side and an odd-side block can
+    share (a, b) but sit at different places in rho.
+    """
+    key = (a, b, offset)
+    terms = memo.get(key)
+    if terms is None:
+        terms = []
+        for w, c in rational_tensor(a, b).items():
+            v = rho_shift(w, offset)
+            terms.append((v, frozenset(v), c))
+        memo[key] = terms
+    return terms
+
+
+def _levi_block_bott(
+    upper_terms: List[_ShiftedTerm], lower_terms: List[_ShiftedTerm]
+) -> List[Tuple[int, GLWeight, int]]:
+    """Nonvanishing (degree, weight, multiplicity) of every pair of blocks."""
+    out = []
+    for upper, entries, c1 in upper_terms:
+        for lower, _, c2 in lower_terms:
+            res = levi_bott(upper, entries, lower)
+            if res is not None:
+                out.append((res[0], res[1], c1 * c2))
+    return out
+
+
 def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple, tuple], int]]:
     """Yield (total degree, exterior degree, weight pair, multiplicity)."""
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
@@ -140,52 +188,42 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
     if count > budget:
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
 
+    lams = [
+        (lam.size, pad_weight(lam, p), dual_weight(pad_weight(lam.transpose(), nq)))
+        for lam in lam_list
+    ]
+    nus = [
+        (nu.size, dual_weight(pad_weight(nu, mq)), pad_weight(nu.transpose(), q))
+        for nu in nu_list
+    ]
+    betas = [(dual_weight(b0), dual_weight(b1), cb) for (b0, b1), cb in beta_terms.items()]
+    memo: Dict[Tuple[GLWeight, GLWeight, int], List[_ShiftedTerm]] = {}
+
     for (a0, a1), ca in alpha_terms.items():
-        for (b0, b1), cb in beta_terms.items():
-            for lam in lam_list:
-                lam_t = lam.transpose()
-                for nu in nu_list:
-                    nu_t = nu.transpose()
-                    ext_deg = lam.size + nu.size
+        for b0_dual, b1_dual, cb in betas:
+            mult = ca * cb
+            for lam_size, lam_even, lam_odd in lams:
+                for nu_size, nu_even, nu_odd in nus:
                     # GL(m) side: quotient block then sub block
-                    even_parts: List[Tuple[int, Tuple[int, ...], int]] = []
-                    for wq, c1 in rational_tensor(a0, dual_weight(pad_weight(nu, mq))).items():
-                        for wr, c2 in rational_tensor(dual_weight(b0), pad_weight(lam, p)).items():
-                            res = bott(wq + wr)
-                            if res is not None:
-                                even_parts.append((res[0], res[1], c1 * c2))
+                    even_parts = _levi_block_bott(
+                        _shifted_tensor(memo, a0, nu_even, p),
+                        _shifted_tensor(memo, b0_dual, lam_even, 0),
+                    )
                     if not even_parts:
                         continue
-                    odd_parts: List[Tuple[int, Tuple[int, ...], int]] = []
-                    for wq, c1 in rational_tensor(a1, dual_weight(pad_weight(lam_t, nq))).items():
-                        for wr, c2 in rational_tensor(dual_weight(b1), pad_weight(nu_t, q)).items():
-                            res = bott(wq + wr)
-                            if res is not None:
-                                odd_parts.append((res[0], res[1], c1 * c2))
-                    mult = ca * cb
+                    odd_parts = _levi_block_bott(
+                        _shifted_tensor(memo, a1, lam_odd, q),
+                        _shifted_tensor(memo, b1_dual, nu_odd, 0),
+                    )
+                    ext_deg = lam_size + nu_size
                     for d0, w0, c0 in even_parts:
                         for d1, w1, c1 in odd_parts:
                             yield d0 + d1, ext_deg, (w0, w1), mult * c0 * c1
 
 
-def e1_page(spec: BundleSpec, jobs: int = 1) -> GradedCharacter:
+def e1_page(spec: BundleSpec) -> GradedCharacter:
     """First page of the ideal-filtration spectral sequence, by total degree."""
     gc = GradedCharacter(spec.m, spec.n)
-    if jobs > 1:
-        contributions = list(_e1_contributions(spec))
-        chunks = [contributions[i::jobs] for i in range(jobs)]
-
-        def tally(chunk):
-            local = GradedCharacter(spec.m, spec.n)
-            for deg, _ext, key, mult in chunk:
-                local.add_term(deg, key, mult)
-            return local
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for local in pool.map(tally, chunks):
-                for deg, vc in local.by_degree.items():
-                    gc.add_char(deg, vc)
-        return gc
     for deg, _ext, key, mult in _e1_contributions(spec):
         gc.add_term(deg, key, mult)
     return gc
@@ -239,14 +277,14 @@ class VerifyReport:
     possibly_nondegenerate: bool = False
 
 
-def verify_main_theorem(spec: BundleSpec, jobs: int = 1) -> VerifyReport:
+def verify_main_theorem(spec: BundleSpec) -> VerifyReport:
     """Compare the first page with the closed form, degree by degree.
 
     ``matches`` means the first page already equals the closed form; a
     mismatch may be a surplus that later differentials cancel.
     """
     expected = main_theorem_char(spec)
-    actual = e1_page(spec, jobs=jobs)
+    actual = e1_page(spec)
     diffs = actual.diff(expected)
     return VerifyReport(
         spec=spec,
@@ -307,7 +345,8 @@ def partial_flag_char(flag: FlagSpec) -> GradedCharacter:
         for q in qs:
             factor = factor * flag_poincare((q - prev, flag.n - q))
             prev = q
-        assert factor == series, "stepwise factorization failed"
+        if factor != series:
+            raise SuperbottError("stepwise factorization failed")
     else:
         shifted = rational_schur_char(
             flag.alpha.transpose(), flag.beta.transpose(), flag.d.shifted()

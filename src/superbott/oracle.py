@@ -84,33 +84,39 @@ def _monomials(shape, nvars: int) -> Dict[Tuple[int, ...], int]:
     return schur_monomials((tuple(shape.outer), tuple(shape.inner)), nvars)
 
 
-def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
-    """Expand s_lam * s_mu into Schur polynomials by monomial elimination.
-
-    The product is computed as a plain polynomial and peeled from the
-    lexicographically largest weakly decreasing exponent downwards; this
-    is triangular with respect to dominance order.
-    """
-    lam, mu = Partition(lam), Partition(mu)
+@lru_cache(maxsize=16)
+def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
     nvars = max(1, lam.length + mu.length)
     prod: Dict[Tuple[int, ...], int] = {}
     for e1, c1 in _monomials(lam, nvars).items():
         for e2, c2 in _monomials(mu, nvars).items():
             key = tuple(a + b for a, b in zip(e1, e2))
             prod[key] = prod.get(key, 0) + c1 * c2
-    out: Dict[Partition, int] = {}
+    out = []
     while prod:
         best = max(e for e in prod if all(a >= b for a, b in zip(e, e[1:])))
         coeff = prod[best]
         nu = Partition(best)
-        out[nu] = coeff
+        out.append((nu, coeff))
         for e, c in _monomials(nu, nvars).items():
             nc = prod.get(e, 0) - coeff * c
             if nc:
                 prod[e] = nc
             else:
                 prod.pop(e, None)
-    return out
+    return tuple(out)
+
+
+def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
+    """Expand s_lam * s_mu into Schur polynomials by monomial elimination.
+
+    The product is computed as a plain polynomial and peeled from the
+    lexicographically largest weakly decreasing exponent downwards; this
+    is triangular with respect to dominance order.  The last few
+    expansions are cached, so that ``lr_bruteforce`` over every nu of one
+    (lam, mu) expands once.
+    """
+    return dict(_schur_expand_cached(Partition(lam), Partition(mu)))
 
 
 def lr_bruteforce(lam, mu, nu) -> int:

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from superbott.bott import LeviWeight, bott, grassmannian_cohomology, kunneth, levi_to_full, rho
+from superbott.bott import (
+    LeviWeight,
+    bott,
+    grassmannian_cohomology,
+    kunneth,
+    levi_bott,
+    levi_to_full,
+    rho,
+    rho_shift,
+)
 from superbott.characters import GradedCharacter, dual_weight, pad_weight
 from superbott.oracle import jacobi_trudi_specialize, specialize_weight
 from superbott.partitions import Partition, partitions_of
@@ -65,6 +74,24 @@ def test_bott_euler_characteristic_matches_determinant():
             assert expected == sign * specialize_weight(w, pts)
 
 
+def dominant_weights(length, lo, hi):
+    # positions chosen with replacement from a decreasing range: weakly decreasing
+    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), length)
+
+
+def test_levi_bott_matches_bott():
+    outcomes = {True: 0, False: 0}
+    for m in range(6):
+        for p in range(m + 1):
+            for q_block in dominant_weights(m - p, -2, 2):
+                for r_block in dominant_weights(p, -2, 2):
+                    upper = rho_shift(q_block, p)
+                    res = levi_bott(upper, frozenset(upper), rho_shift(r_block, 0))
+                    assert res == bott(levi_to_full(LeviWeight(q_block, r_block), p, m))
+                    outcomes[res is None] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
 def test_levi_to_full():
     lw = LeviWeight((2, 0), (1,))
     assert levi_to_full(lw, p=1, m=3) == (2, 0, 1)
@@ -96,6 +123,13 @@ def test_grassmannian_cohomology_drops_vanishing_terms():
     # weight (0 | 1) on Gr(1, C^2) has gamma + rho = (1, 1)
     gc = grassmannian_cohomology(1, 2, {LeviWeight((0,), (1,)): 1})
     assert gc.is_zero()
+
+
+def test_grassmannian_cohomology_rejects_bad_levi_weights():
+    with pytest.raises(ValueError, match="do not match ranks"):
+        grassmannian_cohomology(2, 3, {LeviWeight((2, 0), (1,)): 1})
+    with pytest.raises(ValueError, match="not dominant"):
+        grassmannian_cohomology(1, 3, {LeviWeight((0, 2), (1,)): 1})
 
 
 def test_kunneth():

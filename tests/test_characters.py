@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from superbott.characters import (
@@ -12,6 +14,7 @@ from superbott.characters import (
     skew_expand,
     weyl_dim,
 )
+from superbott.errors import SuperbottError
 from superbott.partitions import Partition, SkewShape, partitions_of, row_sum, dominates, contains
 
 
@@ -29,6 +32,12 @@ def test_weyl_dim():
     assert weyl_dim((2, 1, 0)) == 8
     assert weyl_dim((0,) * 5) == 1
     assert weyl_dim((1, 0, 0, -1)) == 15  # adjoint of sl4
+
+
+def test_weyl_dim_rejects_fractional_dimension():
+    # the check stays under python -O, unlike an assert
+    with pytest.raises(SuperbottError, match="not an integer"):
+        weyl_dim((Fraction(1, 2), 0))
 
 
 def test_lr_basic_values():

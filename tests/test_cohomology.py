@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from superbott.cli import run
 from superbott.cohomology import (
     BundleSpec,
     FlagSpec,
@@ -15,9 +16,12 @@ from superbott.cohomology import (
     structure_sheaf_hilbert,
     verify_main_theorem,
 )
+from superbott.bott import LeviWeight, grassmannian_cohomology, kunneth
+from superbott.characters import GradedCharacter, dual_weight, pad_weight, rational_tensor
 from superbott.errors import HypothesisError, TermLimitError
+from superbott.partitions import partitions_in_box
 from superbott.qseries import HilbertSeries, q_factorial
-from superbott.superschur import SuperDim, rational_schur_char
+from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 
 
 def bundle(p, q, m, n, alpha=(), beta=()):
@@ -117,11 +121,53 @@ def test_e1_page_trivial_and_zero_bundles():
     assert e1_page(bundle(1, 1, 3, 1, alpha=(1, 1, 1))).is_zero()
 
 
-def test_e1_page_jobs_deterministic():
+def reference_e1_page(spec):
+    # The first page as the plain composition of the tested helpers: for
+    # every alpha-term, beta-term, lam and nu, Kunneth of the Bott
+    # cohomology of the even and the odd Levi block.
+    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    mq, nq = m - p, n - q
+    out = GradedCharacter(m, n)
+    alpha_terms = super_schur_decompose(spec.alpha, SuperDim(mq, nq))
+    beta_terms = super_schur_decompose(spec.beta, SuperDim(p, q))
+    for (a0, a1), ca in alpha_terms.items():
+        for (b0, b1), cb in beta_terms.items():
+            for lam in partitions_in_box(p, nq):
+                for nu in partitions_in_box(mq, q):
+                    even = {
+                        LeviWeight(wq, wr): c1 * c2
+                        for wq, c1 in rational_tensor(a0, dual_weight(pad_weight(nu, mq))).items()
+                        for wr, c2 in rational_tensor(dual_weight(b0), pad_weight(lam, p)).items()
+                    }
+                    lam_t = dual_weight(pad_weight(lam.transpose(), nq))
+                    odd = {
+                        LeviWeight(wq, wr): c1 * c2
+                        for wq, c1 in rational_tensor(a1, lam_t).items()
+                        for wr, c2 in rational_tensor(dual_weight(b1), pad_weight(nu.transpose(), q)).items()
+                    }
+                    page = kunneth(
+                        grassmannian_cohomology(p, m, even), grassmannian_cohomology(q, n, odd)
+                    )
+                    for deg, vc in page.by_degree.items():
+                        out.add_char(deg, vc, ca * cb)
+    return out
+
+
+def test_e1_page_matches_blockwise_reference():
+    shapes = [(), (1,), (2,), (1, 1)]
+    cases = {case: 0 for case in HypothesisCase}
+    for m in range(1, 4):
+        for n in range(1, 4):
+            for p in range(m + 1):
+                for q in range(n + 1):
+                    for alpha in shapes:
+                        for beta in shapes:
+                            spec = bundle(p, q, m, n, alpha, beta)
+                            assert e1_page(spec) == reference_e1_page(spec), spec
+                            cases[hypothesis_case(spec)] += 1
     spec = bundle(2, 1, 5, 2, alpha=(2, 1), beta=(1,))
-    base = e1_page(spec)
-    for jobs in (2, 3, 4):
-        assert e1_page(spec, jobs=jobs) == base
+    assert e1_page(spec) == reference_e1_page(spec)
+    assert all(cases.values()), cases
 
 
 def test_e1_bigraded_totals_match():
@@ -138,6 +184,15 @@ def test_e1_term_budget(monkeypatch):
     monkeypatch.setenv("SUPERBOTT_MAX_TERMS", "1")
     with pytest.raises(TermLimitError, match="budget"):
         e1_page(bundle(1, 1, 3, 2, alpha=(2,)))
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])
+def test_e1_term_budget_rejects_bad_values(monkeypatch, capsys, raw):
+    monkeypatch.setenv("SUPERBOTT_MAX_TERMS", raw)
+    with pytest.raises(ValueError, match="SUPERBOTT_MAX_TERMS must be a positive integer"):
+        e1_page(bundle(1, 1, 3, 2, alpha=(2,)))
+    assert run(["e1", "--grass", "1,1", "--dim", "3,2", "--alpha", "[2]"]) == 1
+    assert "SUPERBOTT_MAX_TERMS" in capsys.readouterr().err
 
 
 def test_main_theorem_char_sym_powers():
