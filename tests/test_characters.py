@@ -15,7 +15,16 @@ from superbott.characters import (
     weyl_dim,
 )
 from superbott.errors import SuperbottError
-from superbott.partitions import Partition, SkewShape, partitions_of, row_sum, dominates, contains
+from superbott.oracle import schur_expand_bruteforce
+from superbott.partitions import (
+    Partition,
+    SkewShape,
+    contains,
+    dominates,
+    partitions_of,
+    row_sum,
+    subpartitions,
+)
 
 
 def test_pad_and_dual():
@@ -164,3 +173,39 @@ def test_graded_character_diff():
     d = a.diff(b)
     assert set(d) == {0, 1}
     assert a.diff(a) == {}
+
+
+SMALL_SHAPES = [lam for n in range(5) for lam in partitions_of(n)]
+
+
+def test_schur_product_grid_matches_lr_coefficient():
+    # every truncation, including max_length below the length of lam
+    for lam in SMALL_SHAPES:
+        for mu in SMALL_SHAPES:
+            for cap in range(lam.length + mu.length + 1):
+                want = {}
+                for nu in partitions_of(lam.size + mu.size, max_length=cap):
+                    c = lr_coefficient(lam, mu, nu)
+                    if c:
+                        want[nu] = c
+                assert schur_product(lam, mu, cap) == want, (lam, mu, cap)
+
+
+def test_schur_product_grid_matches_bruteforce():
+    shapes = [lam for n in range(4) for lam in partitions_of(n)]
+    for lam in shapes:
+        for mu in shapes:
+            got = schur_product(lam, mu, lam.length + mu.length)
+            assert got == schur_expand_bruteforce(lam, mu), (lam, mu)
+
+
+def test_skew_expand_grid_matches_lr_coefficient():
+    for k in range(8):
+        for outer in partitions_of(k):
+            for inner in subpartitions(outer):
+                want = {}
+                for nu in partitions_of(k - inner.size):
+                    c = lr_coefficient(inner, nu, outer)
+                    if c:
+                        want[nu] = c
+                assert skew_expand(SkewShape(outer, inner)) == want, (outer, inner)

@@ -1,13 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from superbott.characters import lr_coefficient
 from superbott.errors import PreconditionError
 from superbott.oracle import specialize_character
-from superbott.partitions import Partition, partitions_of
+from superbott.partitions import Partition, partitions_of, subpartitions
 from superbott.superschur import (
     SuperDim,
     SuperWeight,
+    _lr_pairs,
     cauchy_ext,
     cauchy_sym,
     classical_rational_weight,
@@ -79,6 +82,21 @@ def test_classical_rational_weight():
     assert classical_rational_weight(Partition((2,)), Partition((1,)), 3) == (2, 0, -1)
     assert classical_rational_weight(Partition(), Partition(), 2) == (0, 0)
     assert classical_rational_weight(Partition((1,)), Partition((1,)), 1) is None
+
+
+def test_lr_pairs_match_per_delta_definition():
+    # (delta, alpha, c) with c = c^lam_{alpha, delta^T}, enumerated per delta
+    for k in range(7):
+        for lam in partitions_of(k):
+            want = Counter()
+            for j in range(k + 1):
+                for delta in partitions_of(j, max_length=lam.part(0), max_part=lam.length):
+                    for alpha in subpartitions(lam):
+                        if alpha.size == k - j:
+                            c = lr_coefficient(alpha, delta.transpose(), lam)
+                            if c:
+                                want[delta, alpha, c] += 1
+            assert Counter(_lr_pairs(lam)) == want, lam
 
 
 def test_rational_schur_char_pgl():
