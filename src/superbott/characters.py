@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, Tuple
+from itertools import accumulate
+from typing import Dict, Tuple
 
 from .errors import SuperbottError
 from .partitions import (
@@ -11,7 +12,6 @@ from .partitions import (
     SkewShape,
     contains,
     dominates,
-    partitions_of,
     row_sum,
 )
 
@@ -98,49 +98,114 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return _lr_count(lam, mu, nu)
 
 
-def _containing_partitions(lam: Partition, total: int, max_length: int, max_part: int) -> Iterator[Partition]:
-    """Partitions of the given size containing lam, within the bounds."""
-    if total < lam.size:
-        return
+def _add_strip(
+    shape: Tuple[int, ...],
+    prev: Tuple[int, ...] | None,
+    k: int,
+    max_length: int,
+    mult: int,
+    into: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int],
+) -> None:
+    """Add every labelled horizontal strip of k cells to shape, counted in into.
 
-    def rec(i: int, rem: int, prev: int, acc: list[int]) -> Iterator[Partition]:
-        if rem == 0:
-            if lam.part(i) == 0:
-                yield Partition(acc)
-            return
-        if i >= max_length:
-            return
-        hi = min(prev, max_part, rem)
-        lo = max(lam.part(i), 1)
-        for v in range(hi, lo - 1, -1):
-            acc.append(v)
-            yield from rec(i + 1, rem - v, v, acc)
-            acc.pop()
+    prev holds the row counts of the previous label (None for the first);
+    the lattice rule caps the cells of this label in rows <= r by the cells
+    of the previous label in rows < r.
+    """
+    rows = min(len(shape) + 1, max_length)
+    old = shape + (0,)
+    # cells of the previous label in rows < r; a strip adds at most one row,
+    # so this covers every r < rows
+    above = list(accumulate(prev, initial=0)) if prev is not None else None
+    counts = [0] * rows
+    floor = old[rows - 1]
 
-    yield from rec(0, total, max_part, [])
+    def rec(r: int, left: int) -> None:
+        if left == 0:
+            new = [old[s] + counts[s] for s in range(rows)]
+            if new[-1] == 0:
+                new.pop()
+            key = (tuple(new), tuple(counts))
+            into[key] = into.get(key, 0) + mult
+            return
+        if r == rows:
+            return
+        cap = left
+        if above is not None:
+            cap = min(cap, above[r] - (k - left))  # lattice rule
+        if r:
+            cap = min(cap, old[r - 1] - old[r])  # horizontal strip
+        # the rows below r take at most old[r] - floor cells
+        lo = left - (old[r] - floor) if r + 1 < rows else left
+        for c in range(cap, max(lo, 0) - 1, -1):
+            counts[r] = c
+            rec(r + 1, left - c)
+        counts[r] = 0
+
+    rec(0, k)
 
 
 def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partition, int]:
-    """Decompose S_lam x S_mu, keeping shapes with at most max_length rows."""
+    """Decompose S_lam x S_mu, keeping shapes with at most max_length rows.
+
+    One search builds every LR tableau of shape nu/lam and content mu, one
+    label at a time: the cells labelled i+1 are a horizontal strip added
+    to the shape reached after label i (no new row longer than the old row
+    above it), and they obey the lattice rule row by row (the cells
+    labelled i+1 in rows <= r number at most the cells labelled i in rows
+    < r).  Partial tableaux that agree on their shape and on the row counts
+    of their last label have the same completions, so they are counted
+    together.  Each nu the search ends on carries c^nu_{lam, mu}.
+    """
     lam, mu = Partition(lam), Partition(mu)
-    out: Dict[Partition, int] = {}
-    cap = lam.part(0) + mu.part(0)
-    for nu in _containing_partitions(lam, lam.size + mu.size, max_length, cap):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
+    if lam.length > max_length:
+        return {}
+    states = {(tuple(lam), None): 1}
+    for k in mu:
+        nxt: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+        for (shape, prev), mult in states.items():
+            _add_strip(shape, prev, k, max_length, mult, nxt)
+        states = nxt
+    out: Dict[Tuple[int, ...], int] = {}
+    for (shape, _), mult in states.items():
+        out[shape] = out.get(shape, 0) + mult
+    return {Partition(nu): c for nu, c in out.items()}
 
 
 def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
-    """Expand a skew Schur functor into straight shapes via LR coefficients."""
+    """Expand a skew Schur functor into straight shapes via LR coefficients.
+
+    One search fills the cells of outer/inner in reverse reading order
+    (rows top to bottom, each row right to left) with free content: rows
+    weakly increase, columns strictly increase, and the reading word is a
+    lattice word (each label i+1 is preceded by more i's than i+1's).  The
+    content nu of each such LR tableau is tallied, giving c^outer_{inner, nu}.
+    """
     outer, inner = shape.outer, shape.inner
-    out: Dict[Partition, int] = {}
-    for nu in partitions_of(shape.size, max_length=outer.length, max_part=outer.part(0)):
-        c = lr_coefficient(inner, nu, outer)
-        if c:
-            out[nu] = c
-    return out
+    cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
+    grid = [[0] * outer[r] for r in range(outer.length)]
+    content = [0] * (outer.length + 1)
+    tally: Dict[Tuple[int, ...], int] = {}
+
+    def fill(k: int, top: int) -> None:
+        if k == len(cells):
+            key = tuple(content[:top])
+            tally[key] = tally.get(key, 0) + 1
+            return
+        r, c = cells[k]
+        hi = grid[r][c + 1] if c + 1 < outer[r] else top + 1  # rows weakly increase
+        lo = grid[r - 1][c] + 1 if r and c >= inner.part(r - 1) else 1  # columns strictly increase
+        for v in range(lo, hi + 1):
+            if v > 1 and content[v - 2] <= content[v - 1]:
+                continue  # lattice word
+            grid[r][c] = v
+            content[v - 1] += 1
+            fill(k + 1, max(top, v))
+            content[v - 1] -= 1
+        grid[r][c] = 0
+
+    fill(0, 0)
+    return {Partition(nu): c for nu, c in tally.items()}
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, Sequence, Tuple
 
 from .partitions import Partition, SkewShape
+from .superschur import _complete_h, _fraction_det
 
 MAX_CELLS = 12
 
@@ -127,39 +128,6 @@ def lr_bruteforce(lam, mu, nu) -> int:
     return schur_expand_bruteforce(lam, mu).get(nu, 0)
 
 
-def complete_homogeneous(k: int, values: Sequence[Fraction]) -> Fraction:
-    """h_k specialized at the given rational values; zero for k < 0."""
-    if k < 0:
-        return Fraction(0)
-    table = [Fraction(0)] * (k + 1)
-    table[0] = Fraction(1)
-    for x in values:
-        for j in range(1, k + 1):
-            table[j] += Fraction(x) * table[j - 1]
-    return table[k]
-
-
-def _det(mat) -> Fraction:
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            f = mat[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    mat[r][c] -= f * mat[col][c]
-    return det
-
-
 def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], inner=()) -> Fraction:
     """Jacobi-Trudi determinant det h(gamma_j - inner_i - j + i) at the values.
 
@@ -174,10 +142,10 @@ def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], in
     if n == 0:
         return Fraction(1)
     mat = [
-        [complete_homogeneous(gamma[j] - inner.part(i) - j + i, values) for j in range(n)]
+        [_complete_h(gamma[j] - inner.part(i) - j + i, values) for j in range(n)]
         for i in range(n)
     ]
-    return _det(mat)
+    return _fraction_det(mat)
 
 
 def specialize_schur(shape, values: Sequence[Fraction]) -> Fraction:
@@ -199,43 +167,36 @@ def specialize_schur_ssyt(shape, values: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _shift_to_partition(w: Tuple[int, ...]):
+def _specialize_shifted(w: Sequence[int], values: Sequence[Fraction], evaluate) -> Fraction:
+    """Evaluate a rational GL character (possibly negative weight).
+
+    w is shifted by k*(1,...,1) into a partition, evaluate(partition,
+    values) specializes that Schur polynomial, and the result is divided
+    by the k-th power of the product of the values.
+    """
+    w = tuple(w)
+    if len(w) != len(values):
+        raise ValueError("need one value per weight entry")
+    if not w:
+        return Fraction(1)
     k = max(0, -min(w))
-    return Partition(x + k for x in w), k
+    result = evaluate(Partition(x + k for x in w), values)
+    if k:
+        denom = Fraction(1)
+        for x in values:
+            denom *= Fraction(x) ** k
+        result /= denom
+    return result
 
 
 def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """Evaluate a rational GL character (possibly negative weight) via tableaux."""
-    w = tuple(w)
-    if len(w) != len(values):
-        raise ValueError("need one value per weight entry")
-    if not w:
-        return Fraction(1)
-    lam, k = _shift_to_partition(w)
-    result = specialize_schur_ssyt(lam, values)
-    if k:
-        denom = Fraction(1)
-        for x in values:
-            denom *= Fraction(x) ** k
-        result /= denom
-    return result
+    """Evaluate a rational GL character via tableaux (no determinant)."""
+    return _specialize_shifted(w, values, specialize_schur_ssyt)
 
 
 def specialize_weight_jt(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """Same as specialize_weight but through the determinant formula."""
-    w = tuple(w)
-    if len(w) != len(values):
-        raise ValueError("need one value per weight entry")
-    if not w:
-        return Fraction(1)
-    lam, k = _shift_to_partition(w)
-    result = jacobi_trudi_specialize(tuple(lam.part(i) for i in range(len(w))), values)
-    if k:
-        denom = Fraction(1)
-        for x in values:
-            denom *= Fraction(x) ** k
-        result /= denom
-    return result
+    """Same as specialize_weight but through the Jacobi-Trudi determinant."""
+    return _specialize_shifted(w, values, specialize_schur)
 
 
 def specialize_character(char, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Fraction:

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .characters import (
     GLWeight,
     VirtualCharacter,
     dual_weight,
-    lr_coefficient,
     pad_weight,
     rational_tensor,
     skew_expand,
@@ -90,15 +89,9 @@ def cauchy_ext(degree: int, dims_a: SuperDim, dims_b: SuperDim) -> Dict[Partitio
 
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:
     """Triples (delta, alpha, c) with c = c^lam_{alpha, delta^T} nonzero."""
-    for k in range(lam.size + 1):
-        for delta in partitions_of(k, max_length=lam.part(0), max_part=lam.length):
-            dt = delta.transpose()
-            for alpha in subpartitions(lam):
-                if alpha.size != lam.size - k:
-                    continue
-                c = lr_coefficient(alpha, dt, lam)
-                if c:
-                    yield delta, alpha, c
+    for alpha in subpartitions(lam):
+        for dt, c in skew_expand(SkewShape(lam, alpha)).items():
+            yield dt.transpose(), alpha, c
 
 
 def classical_rational_weight(alpha: Partition, beta: Partition, m: int) -> GLWeight | None:
@@ -108,9 +101,8 @@ def classical_rational_weight(alpha: Partition, beta: Partition, m: int) -> GLWe
     """
     if alpha.length + beta.length > m:
         return None
-    body = [alpha.part(i) for i in range(m - beta.length)]
-    body += [-beta[i] for i in range(beta.length - 1, -1, -1)]
-    return tuple(body)
+    gap = (0,) * (m - alpha.length - beta.length)
+    return tuple(alpha) + gap + tuple(-x for x in reversed(beta))
 
 
 def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCharacter:
@@ -122,21 +114,32 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
     lam, mu = Partition(lam), Partition(mu)
     if d.m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
+    # lam-pairs grouped by padded delta, mu-pairs by dualised padded gamma
+    deltas: Dict[GLWeight, List[Tuple[Partition, int]]] = {}
+    for delta, alpha, c in _lr_pairs(lam):
+        if delta.length <= d.n:
+            deltas.setdefault(pad_weight(delta, d.n), []).append((alpha, c))
+    gammas: Dict[GLWeight, List[Tuple[Partition, int]]] = {}
+    for gamma, beta, c in _lr_pairs(mu):
+        if gamma.length <= d.n:
+            gammas.setdefault(dual_weight(pad_weight(gamma, d.n)), []).append((beta, c))
+    alphas = {alpha for group in deltas.values() for alpha, _ in group}
+    betas = {beta for group in gammas.values() for beta, _ in group}
+    even = {(a, b): classical_rational_weight(a, b, d.m) for a in alphas for b in betas}
     out = VirtualCharacter(d.m, d.n)
-    lam_pairs = list(_lr_pairs(lam))
-    mu_pairs = list(_lr_pairs(mu))
-    for delta, alpha, c1 in lam_pairs:
-        if delta.length > d.n:
-            continue
-        delta_w = pad_weight(delta, d.n)
-        for gamma, beta, c2 in mu_pairs:
-            if gamma.length > d.n:
+    for gamma_w, beta_group in gammas.items():
+        for delta_w, alpha_group in deltas.items():
+            pairs = [
+                (even[alpha, beta], c1 * c2)
+                for alpha, c1 in alpha_group
+                for beta, c2 in beta_group
+                if even[alpha, beta] is not None
+            ]
+            if not pairs:
                 continue
-            w0 = classical_rational_weight(alpha, beta, d.m)
-            if w0 is None:
-                continue
-            for w1, c3 in rational_tensor(dual_weight(pad_weight(gamma, d.n)), delta_w).items():
-                out.add_term((w0, w1), c1 * c2 * c3)
+            for w1, c3 in rational_tensor(gamma_w, delta_w).items():
+                for w0, c12 in pairs:
+                    out.add_term((w0, w1), c12 * c3)
     return out
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbott.characters import (
     GradedCharacter,
@@ -106,6 +107,22 @@ def test_rational_tensor_shift_invariance():
     for a, b in [((2, 0), (1, -1)), ((1, 1, 0), (0, -1, -2))]:
         got = rational_tensor(a, b)
         assert sum(c * weyl_dim(w) for w, c in got.items()) == weyl_dim(a) * weyl_dim(b)
+
+
+@st.composite
+def dominant_weight_pairs(draw):
+    """Two dominant weights of one rank <= 5, entries in [-3, 3]."""
+    rank = draw(st.integers(0, 5))
+    entries = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    return tuple(sorted(draw(entries), reverse=True)), tuple(sorted(draw(entries), reverse=True))
+
+
+@settings(derandomize=True, deadline=None)
+@given(dominant_weight_pairs())
+def test_rational_tensor_dimension_property(pair):
+    a, b = pair
+    got = rational_tensor(a, b)
+    assert sum(c * weyl_dim(w) for w, c in got.items()) == weyl_dim(a) * weyl_dim(b)
 
 
 def test_rational_tensor_rank_mismatch():

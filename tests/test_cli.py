@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -153,3 +154,13 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_readme_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("superbott ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        code, _, err = capture(capsys, argv[1:])
+        assert code == 0, (argv, err)

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superbott.characters import lr_coefficient
 from superbott.errors import PreconditionError
@@ -146,6 +147,25 @@ def test_composite_det_matches_specialization():
     det = composite_det_specialized(lam, mu, d, pts)
     char = rational_schur_char(lam, mu, d)
     assert det == specialize_character(char, *pts)
+
+
+@st.composite
+def rational_schur_inputs(draw):
+    """(lam, mu, m|n) with m at or above the complete-intersection bound."""
+    partition = st.lists(st.integers(1, 3), max_size=4).map(
+        lambda parts: Partition(sorted(parts, reverse=True))
+    )
+    lam, mu = draw(partition), draw(partition)
+    low = max(0, lam.length + mu.length - 1)
+    return lam, mu, SuperDim(draw(st.integers(low, low + 3)), draw(st.integers(0, 3)))
+
+
+@settings(derandomize=True, deadline=None)
+@given(rational_schur_inputs())
+def test_rational_schur_dim_matches_determinant_property(inputs):
+    lam, mu, d = inputs
+    ones = ([1] * d.m, [1] * d.n)
+    assert rational_schur_char(lam, mu, d).total_dim() == composite_det_specialized(lam, mu, d, ones)
 
 
 def test_composite_det_singular_point():
