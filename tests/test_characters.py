@@ -192,13 +192,11 @@ def test_graded_character_diff():
     assert a.diff(a) == {}
 
 
-SMALL_SHAPES = [lam for n in range(5) for lam in partitions_of(n)]
-
-
 def test_schur_product_grid_matches_lr_coefficient():
     # every truncation, including max_length below the length of lam
-    for lam in SMALL_SHAPES:
-        for mu in SMALL_SHAPES:
+    shapes = [lam for n in range(5) for lam in partitions_of(n)]
+    for lam in shapes:
+        for mu in shapes:
             for cap in range(lam.length + mu.length + 1):
                 want = {}
                 for nu in partitions_of(lam.size + mu.size, max_length=cap):
