@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import sub
-from typing import AbstractSet, Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .characters import GLWeight, GradedCharacter, external_product
 
@@ -47,19 +47,32 @@ def rho_shift(w: GLWeight, offset: int) -> GLWeight:
     return tuple(x + top - i for i, x in enumerate(w))
 
 
+def entry_mask(block: GLWeight) -> int:
+    """The set of entries of a block as a bit mask.
+
+    Each integer x gets its own bit: bit 2x for x >= 0 and bit -2x-1 for
+    x < 0, so two blocks share an entry exactly when their masks meet.
+    """
+    mask = 0
+    for x in block:
+        mask |= 1 << (2 * x if x >= 0 else -2 * x - 1)
+    return mask
+
+
 def levi_bott(
-    upper: GLWeight, upper_entries: AbstractSet[int], lower: GLWeight
+    upper: GLWeight, upper_mask: int, lower: GLWeight, lower_mask: int
 ) -> Optional[Tuple[int, GLWeight]]:
     """Bott on a Levi weight given by its two rho-shifted blocks.
 
     ``upper`` and ``lower`` are the blocks of gamma + rho (see ``rho_shift``)
-    and ``upper_entries`` is the set of entries of ``upper``.  Each block is
-    strictly decreasing, so gamma + rho repeats an entry exactly when the
-    blocks share one, and the inversions to sort it are the pairs x < y
-    with x in ``upper`` and y in ``lower``.  Agrees with ``bott`` on the
-    concatenated weight.
+    and the masks are their ``entry_mask``.  Each block is strictly
+    decreasing, so gamma + rho repeats an entry, and all cohomology
+    vanishes, exactly when ``upper_mask & lower_mask`` is nonzero; that test
+    runs before any degree or weight work.  The inversions to sort
+    gamma + rho are the pairs x < y with x in ``upper`` and y in ``lower``.
+    Agrees with ``bott`` on the concatenated weight.
     """
-    if not upper_entries.isdisjoint(lower):
+    if upper_mask & lower_mask:
         return None
     v = sorted(upper + lower, reverse=True)
     k, l = len(upper), len(lower)
@@ -90,7 +103,8 @@ def grassmannian_cohomology(p: int, m: int, terms: Dict[LeviWeight, int]) -> Gra
         if not all(a >= b for block in lw for a, b in zip(block, block[1:])):
             raise ValueError(f"Levi weight {lw} is not dominant on each block")
         upper = rho_shift(lw.q_block, p)
-        res = levi_bott(upper, frozenset(upper), rho_shift(lw.r_block, 0))
+        lower = rho_shift(lw.r_block, 0)
+        res = levi_bott(upper, entry_mask(upper), lower, entry_mask(lower))
         if res is not None:
             degree, w = res
             gc.add_term(degree, (w, ()), mult)

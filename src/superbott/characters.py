@@ -218,6 +218,9 @@ def _rational_tensor_cached(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, i
     la = Partition(x + ka for x in a)
     lb = Partition(x + kb for x in b)
     shift = ka + kb
+    if lb.size > la.size:
+        # c^nu_{la, lb} = c^nu_{lb, la}, and the search grows with the content
+        la, lb = lb, la
     out = []
     for nu, c in schur_product(la, lb, m).items():
         out.append((tuple(nu.part(i) - shift for i in range(m)), c))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .bott import levi_bott, rho_shift
+from .bott import entry_mask, levi_bott, rho_shift
 from .characters import (
     GLWeight,
     GradedCharacter,
@@ -129,47 +129,54 @@ def structure_sheaf_hilbert(spec: BundleSpec) -> HilbertSeries:
     raise HypothesisError("main theorem hypothesis not satisfied")
 
 
-# A rho-shifted Levi block with the set of its entries and its multiplicity.
-_ShiftedTerm = Tuple[GLWeight, FrozenSet[int], int]
+# One Levi block side of rational_tensor(a, b): the entry_mask of each
+# rho-shifted block, and the blocks with their multiplicities.
+_BlockSide = Tuple[Tuple[int, ...], Tuple[Tuple[GLWeight, int], ...]]
 
 
-def _shifted_tensor(
-    memo: Dict[Tuple[GLWeight, GLWeight, int], List[_ShiftedTerm]],
-    a: GLWeight,
-    b: GLWeight,
-    offset: int,
-) -> List[_ShiftedTerm]:
-    """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift).
-
-    The key carries the offset: an even-side and an odd-side block can
-    share (a, b) but sit at different places in rho.
-    """
-    key = (a, b, offset)
-    terms = memo.get(key)
-    if terms is None:
-        terms = []
-        for w, c in rational_tensor(a, b).items():
-            v = rho_shift(w, offset)
-            terms.append((v, frozenset(v), c))
-        memo[key] = terms
-    return terms
+def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
+    """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift)."""
+    blocks = tuple((rho_shift(w, offset), c) for w, c in rational_tensor(a, b).items())
+    return tuple(entry_mask(v) for v, _ in blocks), blocks
 
 
-def _levi_block_bott(
-    upper_terms: List[_ShiftedTerm], lower_terms: List[_ShiftedTerm]
-) -> List[Tuple[int, GLWeight, int]]:
-    """Nonvanishing (degree, weight, multiplicity) of every pair of blocks."""
+def _survives(upper_masks: Tuple[int, ...], lower_masks: Tuple[int, ...]) -> bool:
+    """Whether some pair of blocks shares no entry, so Bott does not vanish."""
+    # loop over the shorter side, scan the longer one at C speed
+    if len(lower_masks) > len(upper_masks):
+        upper_masks, lower_masks = lower_masks, upper_masks
+    for mask in lower_masks:
+        if 0 in map(mask.__and__, upper_masks):
+            return True
+    return False
+
+
+def _levi_bott_pairs(upper: _BlockSide, lower: _BlockSide) -> List[Tuple[int, GLWeight, int]]:
+    """(degree, weight, multiplicity) of levi_bott on each surviving pair."""
+    lower_terms = list(zip(*lower))
     out = []
-    for upper, entries, c1 in upper_terms:
-        for lower, _, c2 in lower_terms:
-            res = levi_bott(upper, entries, lower)
-            if res is not None:
-                out.append((res[0], res[1], c1 * c2))
+    for um, (u, c1) in zip(*upper):
+        for lm, (l, c2) in lower_terms:
+            if not um & lm:
+                degree, w = levi_bott(u, um, l, lm)
+                out.append((degree, w, c1 * c2))
     return out
 
 
 def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple, tuple], int]]:
-    """Yield (total degree, exterior degree, weight pair, multiplicity)."""
+    """Yield (total degree, exterior degree, weight pair, multiplicity).
+
+    Each (alpha-term, beta-term, lam, nu) gives an even (GL(m)) and an odd
+    (GL(n)) Levi weight, each a sum of pairs of rho-shifted blocks, one per
+    pair of rational_tensor terms.  A pair survives Bott exactly when its
+    blocks share no entry, which is one AND of their ``entry_mask``s.  The
+    work runs in this order: first the even pairs are tested, and the term
+    is dropped if none survives; only then are the odd blocks built and
+    tested; only when both sides survive does ``levi_bott`` compute degrees
+    and weights.  Each side's blocks come from a table indexed by the shape's
+    position, filled on first use: even upper per (a0, nu), even lower per
+    (b0, lam), odd upper per (a1, lam) and odd lower per (b1, nu).
+    """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
 
@@ -196,27 +203,49 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
         (nu.size, dual_weight(pad_weight(nu, mq)), pad_weight(nu.transpose(), q))
         for nu in nu_list
     ]
-    betas = [(dual_weight(b0), dual_weight(b1), cb) for (b0, b1), cb in beta_terms.items()]
-    memo: Dict[Tuple[GLWeight, GLWeight, int], List[_ShiftedTerm]] = {}
 
+    # Block tables: one row per distinct weight, one slot per shape position.
+    even_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
+    even_lower: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
+    odd_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
+    odd_lower: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
+    alphas = []
     for (a0, a1), ca in alpha_terms.items():
-        for b0_dual, b1_dual, cb in betas:
+        eu_row = even_upper.setdefault(a0, [None] * len(nus))
+        ou_row = odd_upper.setdefault(a1, [None] * len(lams))
+        alphas.append((a0, a1, ca, eu_row, ou_row))
+    betas = []
+    for (b0, b1), cb in beta_terms.items():
+        b0, b1 = dual_weight(b0), dual_weight(b1)
+        el_row = even_lower.setdefault(b0, [None] * len(lams))
+        ol_row = odd_lower.setdefault(b1, [None] * len(nus))
+        betas.append((b0, b1, cb, el_row, ol_row))
+
+    for a0, a1, ca, eu_row, ou_row in alphas:
+        for b0, b1, cb, el_row, ol_row in betas:
             mult = ca * cb
-            for lam_size, lam_even, lam_odd in lams:
-                for nu_size, nu_even, nu_odd in nus:
-                    # GL(m) side: quotient block then sub block
-                    even_parts = _levi_block_bott(
-                        _shifted_tensor(memo, a0, nu_even, p),
-                        _shifted_tensor(memo, b0_dual, lam_even, 0),
-                    )
-                    if not even_parts:
+            for i, (lam_size, lam_even, lam_odd) in enumerate(lams):
+                even_lower_side = el_row[i]
+                if even_lower_side is None:
+                    even_lower_side = el_row[i] = _block_side(b0, lam_even, 0)
+                for j, (nu_size, nu_even, nu_odd) in enumerate(nus):
+                    # upper is the quotient block, lower the sub block
+                    even_upper_side = eu_row[j]
+                    if even_upper_side is None:
+                        even_upper_side = eu_row[j] = _block_side(a0, nu_even, p)
+                    if not _survives(even_upper_side[0], even_lower_side[0]):
                         continue
-                    odd_parts = _levi_block_bott(
-                        _shifted_tensor(memo, a1, lam_odd, q),
-                        _shifted_tensor(memo, b1_dual, nu_odd, 0),
-                    )
+                    odd_upper_side = ou_row[i]
+                    if odd_upper_side is None:
+                        odd_upper_side = ou_row[i] = _block_side(a1, lam_odd, q)
+                    odd_lower_side = ol_row[j]
+                    if odd_lower_side is None:
+                        odd_lower_side = ol_row[j] = _block_side(b1, nu_odd, 0)
+                    if not _survives(odd_upper_side[0], odd_lower_side[0]):
+                        continue
                     ext_deg = lam_size + nu_size
-                    for d0, w0, c0 in even_parts:
+                    odd_parts = _levi_bott_pairs(odd_upper_side, odd_lower_side)
+                    for d0, w0, c0 in _levi_bott_pairs(even_upper_side, even_lower_side):
                         for d1, w1, c1 in odd_parts:
                             yield d0 + d1, ext_deg, (w0, w1), mult * c0 * c1
 

@@ -6,6 +6,7 @@ import pytest
 from superbott.bott import (
     LeviWeight,
     bott,
+    entry_mask,
     grassmannian_cohomology,
     kunneth,
     levi_bott,
@@ -86,10 +87,36 @@ def test_levi_bott_matches_bott():
             for q_block in dominant_weights(m - p, -2, 2):
                 for r_block in dominant_weights(p, -2, 2):
                     upper = rho_shift(q_block, p)
-                    res = levi_bott(upper, frozenset(upper), rho_shift(r_block, 0))
+                    lower = rho_shift(r_block, 0)
+                    res = levi_bott(upper, entry_mask(upper), lower, entry_mask(lower))
                     assert res == bott(levi_to_full(LeviWeight(q_block, r_block), p, m))
                     outcomes[res is None] += 1
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def strictly_decreasing_blocks(max_length, lo, hi):
+    for length in range(max_length + 1):
+        yield from itertools.combinations(range(hi, lo - 1, -1), length)
+
+
+def test_entry_mask_meets_exactly_when_blocks_share_an_entry():
+    blocks = list(strictly_decreasing_blocks(3, -5, 5))
+    assert (0,) in blocks and (-1,) in blocks and (2, 0, -5) in blocks
+    meets = 0
+    for u in blocks:
+        for l in blocks:
+            shared = not set(u).isdisjoint(l)
+            assert bool(entry_mask(u) & entry_mask(l)) == shared, (u, l)
+            meets += shared
+    assert 0 < meets < len(blocks) ** 2
+
+
+def test_entry_mask_bits():
+    assert entry_mask(()) == 0
+    assert entry_mask((0,)) == 1
+    assert entry_mask((-1,)) == 2
+    assert entry_mask((1,)) == 4
+    assert entry_mask((2, 0, -2)) == (1 << 4) | 1 | (1 << 3)
 
 
 def test_levi_to_full():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,10 @@ def test_rational_tensor_shift_invariance():
         assert sum(c * weyl_dim(w) for w, c in got.items()) == weyl_dim(a) * weyl_dim(b)
 
 
+def dominant_weights(rank, lo, hi):
+    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), rank)
+
+
 @st.composite
 def dominant_weight_pairs(draw):
     """Two dominant weights of one rank <= 5, entries in [-3, 3]."""
@@ -123,6 +128,16 @@ def test_rational_tensor_dimension_property(pair):
     a, b = pair
     got = rational_tensor(a, b)
     assert sum(c * weyl_dim(w) for w, c in got.items()) == weyl_dim(a) * weyl_dim(b)
+
+
+def test_rational_tensor_is_symmetric():
+    # rational_tensor multiplies with the smaller shape as the content,
+    # so swapping the operands must not change the result
+    weights = [w for rank in range(4) for w in dominant_weights(rank, -2, 2)]
+    for a in weights:
+        for b in weights:
+            if len(a) == len(b):
+                assert rational_tensor(a, b) == rational_tensor(b, a), (a, b)
 
 
 def test_rational_tensor_rank_mismatch():
@@ -204,6 +219,14 @@ def test_schur_product_grid_matches_lr_coefficient():
                     if c:
                         want[nu] = c
                 assert schur_product(lam, mu, cap) == want, (lam, mu, cap)
+
+
+def test_schur_product_is_symmetric():
+    shapes = [lam for n in range(5) for lam in partitions_of(n)]
+    for lam in shapes:
+        for mu in shapes:
+            for cap in range(lam.length + mu.length + 1):
+                assert schur_product(lam, mu, cap) == schur_product(mu, lam, cap), (lam, mu, cap)
 
 
 def test_schur_product_grid_matches_bruteforce():

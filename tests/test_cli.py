@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -142,18 +143,28 @@ def test_char_rational_precondition_exit_2(capsys):
     assert code == 2
 
 
-def test_console_script_entry_point():
+def run_module(*argv):
     # the child finds the package where this process imported it from
     src = str(Path(superbott.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "superbott.cli", "lr", "[1]", "[1]", "[1,1]"],
+    return subprocess.run(
+        [sys.executable, "-m", *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_entry_point():
+    proc = run_module("superbott.cli", "lr", "[1]", "[1]", "[1,1]")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_package_runs_as_module():
+    proc = run_module("superbott", "--output", "json", "lr", "[2,1]", "[2,1]", "[3,2,1]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == '{"value":2}'
 
 
 def test_readme_examples_run(capsys):
@@ -164,3 +175,25 @@ def test_readme_examples_run(capsys):
     for argv in examples:
         code, _, err = capture(capsys, argv[1:])
         assert code == 0, (argv, err)
+
+
+# sha256 of the stdout of `superbott --output json e1` on two rungs of the
+# benchmark ladder, taken before the first page's Bott loop was reordered:
+# the page's JSON must stay byte-identical.
+E1_LADDER_PINS = [
+    (
+        ["--grass", "2,1", "--dim", "9,4", "--alpha", "[2,1]", "--beta", "[1]"],
+        "1d6594a60bc274011e4db50b991875598dfd00f942d28d71ad9da02ec6efa7d9",
+    ),
+    (
+        ["--grass", "3,2", "--dim", "12,6", "--alpha", "[2,1]", "--beta", "[1]"],
+        "c29ee97dd8ac013b48244e1ea01d8cfbd4dd74f18e10a14a86378fcd32f07567",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", E1_LADDER_PINS)
+def test_e1_json_bytes_pinned(capsys, args, digest):
+    code, out, _ = capture(capsys, ["--output", "json", "e1"] + args)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

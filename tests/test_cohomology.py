@@ -1,6 +1,7 @@
 import os
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from superbott.cli import run
 from superbott.cohomology import (
@@ -19,7 +20,7 @@ from superbott.cohomology import (
 from superbott.bott import LeviWeight, grassmannian_cohomology, kunneth
 from superbott.characters import GradedCharacter, dual_weight, pad_weight, rational_tensor
 from superbott.errors import HypothesisError, TermLimitError
-from superbott.partitions import partitions_in_box
+from superbott.partitions import partitions_in_box, partitions_of
 from superbott.qseries import HilbertSeries, q_factorial
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 
@@ -264,6 +265,47 @@ def test_verify_boundary_mismatch_is_d1_exact():
     assert e1_page(spec).euler_characteristic() == main_theorem_char(
         spec
     ).euler_characteristic()
+
+
+SMALL_SHAPES = [lam for k in range(4) for lam in partitions_of(k)]
+
+
+@st.composite
+def hypothesis_bundles(draw):
+    """A bundle with m, n <= 5 and |alpha|, |beta| <= 3 under the hypothesis.
+
+    It is drawn in CASE1 and, half of the time, mirrored into CASE2: the
+    mirror swaps the even and odd sides and transposes both shapes, which
+    turns the CASE1 inequalities into the CASE2 ones.
+    """
+    alpha, beta = draw(st.sampled_from(SMALL_SHAPES)), draw(st.sampled_from(SMALL_SHAPES))
+    la, lb = alpha.length, beta.length
+    assume(la + lb <= 5)
+    # CASE1: m - n - len(alpha) >= p - q >= len(beta)
+    n = draw(st.integers(0, 5 - la - lb))
+    gap = draw(st.integers(lb, 5 - n - la))
+    m = draw(st.integers(n + la + gap, 5))
+    q = draw(st.integers(0, n))
+    if draw(st.booleans()):
+        return bundle(q, q + gap, n, m, alpha.transpose(), beta.transpose())
+    return bundle(q + gap, q, m, n, alpha, beta)
+
+
+def test_e1_euler_characteristic_matches_closed_form_on_both_cases():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(hypothesis_bundles())
+    def check(spec):
+        case = hypothesis_case(spec)
+        assert case is not HypothesisCase.NONE, spec
+        seen.add(case)
+        assert e1_page(spec).euler_characteristic() == main_theorem_char(
+            spec
+        ).euler_characteristic(), spec
+
+    check()
+    assert seen == {HypothesisCase.CASE1, HypothesisCase.CASE2}
 
 
 def test_e1_dimension_identity():
