@@ -10,6 +10,7 @@ from .errors import SuperbottError
 from .partitions import (
     Partition,
     SkewShape,
+    _trusted,
     contains,
     dominates,
     row_sum,
@@ -45,7 +46,7 @@ def weyl_dim(w: GLWeight) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Count LR skew tableaux of shape nu/lam with content mu.
 
@@ -169,19 +170,12 @@ def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partit
     out: Dict[Tuple[int, ...], int] = {}
     for (shape, _), mult in states.items():
         out[shape] = out.get(shape, 0) + mult
-    return {Partition(nu): c for nu, c in out.items()}
+    # each strip keeps the shape a partition, and _add_strip drops an empty last row
+    return {_trusted(nu): c for nu, c in out.items()}
 
 
-def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
-    """Expand a skew Schur functor into straight shapes via LR coefficients.
-
-    One search fills the cells of outer/inner in reverse reading order
-    (rows top to bottom, each row right to left) with free content: rows
-    weakly increase, columns strictly increase, and the reading word is a
-    lattice word (each label i+1 is preceded by more i's than i+1's).  The
-    content nu of each such LR tableau is tallied, giving c^outer_{inner, nu}.
-    """
-    outer, inner = shape.outer, shape.inner
+@lru_cache(maxsize=4096)
+def _skew_expand_cached(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int], ...]:
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     grid = [[0] * outer[r] for r in range(outer.length)]
     content = [0] * (outer.length + 1)
@@ -205,10 +199,27 @@ def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
         grid[r][c] = 0
 
     fill(0, 0)
-    return {Partition(nu): c for nu, c in tally.items()}
+    # a lattice word's content is weakly decreasing and positive up to top
+    return tuple((_trusted(nu), c) for nu, c in tally.items())
 
 
-@lru_cache(maxsize=None)
+def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
+    """Expand a skew Schur functor into straight shapes via LR coefficients.
+
+    One search fills the cells of outer/inner in reverse reading order
+    (rows top to bottom, each row right to left) with free content: rows
+    weakly increase, columns strictly increase, and the reading word is a
+    lattice word (each label i+1 is preceded by more i's than i+1's).  The
+    content nu of each such LR tableau is tallied, giving c^outer_{inner, nu}.
+
+    The expansion depends on the shape alone, so it is memoized across
+    calls, for the 4096 most recently used (outer, inner) pairs; each call
+    returns a fresh dict.
+    """
+    return dict(_skew_expand_cached(shape.outer, shape.inner))
+
+
+@lru_cache(maxsize=4096)
 def _rational_tensor_cached(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int], ...]:
     m = len(a)
     if m == 0:
@@ -237,6 +248,16 @@ def rational_tensor(a: GLWeight, b: GLWeight) -> Dict[GLWeight, int]:
     if len(a) != len(b):
         raise ValueError("rank mismatch")
     return dict(_rational_tensor_cached(tuple(a), tuple(b)))
+
+
+def _merge(terms: Dict[Tuple[GLWeight, GLWeight], int], other: Dict[Tuple[GLWeight, GLWeight], int], mult: int) -> None:
+    """Add mult times the terms of other into terms, dropping zeros."""
+    for key, c in other.items():
+        new = terms.get(key, 0) + c * mult
+        if new:
+            terms[key] = new
+        else:
+            terms.pop(key, None)
 
 
 class VirtualCharacter:
@@ -272,15 +293,16 @@ class VirtualCharacter:
 
     def __add__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         self._check(other)
-        out = VirtualCharacter(self.m, self.n, dict(self.terms))
-        for key, mult in other.terms.items():
-            out.add_term(key, mult)
+        out = VirtualCharacter(self.m, self.n)
+        out.terms = dict(self.terms)
+        _merge(out.terms, other.terms, 1)
         return out
 
     def scale(self, k: int) -> "VirtualCharacter":
-        if k == 0:
-            return VirtualCharacter(self.m, self.n)
-        return VirtualCharacter(self.m, self.n, {key: k * mult for key, mult in self.terms.items()})
+        out = VirtualCharacter(self.m, self.n)
+        if k:
+            out.terms = {key: k * mult for key, mult in self.terms.items()}
+        return out
 
     def __sub__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         return self + other.scale(-1)
@@ -368,8 +390,17 @@ class GradedCharacter:
             del self.by_degree[degree]
 
     def add_char(self, degree: int, char: VirtualCharacter, mult: int = 1) -> None:
-        for key, c in char.items():
-            self.add_term(degree, key, c * mult)
+        """Add mult times char in one degree; char's keys were rank-checked
+        when it was built, so one check of its ranks covers them all.
+        """
+        if (char.m, char.n) != (self.m, self.n):
+            raise ValueError("rank mismatch")
+        vc = self.by_degree.get(degree)
+        if vc is None:
+            vc = self.by_degree[degree] = VirtualCharacter(self.m, self.n)
+        _merge(vc.terms, char.terms, mult)
+        if vc.is_zero():
+            del self.by_degree[degree]
 
     def degree(self, k: int) -> VirtualCharacter:
         return self.by_degree.get(k, VirtualCharacter(self.m, self.n))
@@ -383,9 +414,7 @@ class GradedCharacter:
     def euler_characteristic(self) -> VirtualCharacter:
         out = VirtualCharacter(self.m, self.n)
         for deg, vc in self.by_degree.items():
-            sign = -1 if deg % 2 else 1
-            for key, c in vc.items():
-                out.add_term(key, sign * c)
+            _merge(out.terms, vc.terms, -1 if deg % 2 else 1)
         return out
 
     def has_odd_support(self) -> bool:

@@ -21,9 +21,7 @@ from .cohomology import (
     e1_page,
     hypothesis_case,
     main_theorem_char,
-    partial_flag_char,
     partial_flag_hilbert,
-    structure_sheaf_hilbert,
     verify_main_theorem,
 )
 from .errors import PreconditionError

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
@@ -134,8 +135,14 @@ def structure_sheaf_hilbert(spec: BundleSpec) -> HilbertSeries:
 _BlockSide = Tuple[Tuple[int, ...], Tuple[Tuple[GLWeight, int], ...]]
 
 
+@lru_cache(maxsize=1024)
 def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
-    """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift)."""
+    """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift).
+
+    The result depends on (a, b, offset) alone, so it is memoized across
+    calls, for the 1024 most recently used keys; it is a tuple of tuples,
+    which no caller can change.
+    """
     blocks = tuple((rho_shift(w, offset), c) for w, c in rational_tensor(a, b).items())
     return tuple(entry_mask(v) for v, _ in blocks), blocks
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterator, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .partitions import Partition, SkewShape
 from .superschur import _complete_h, _fraction_det
@@ -68,19 +69,23 @@ def ssyt_count(shape, bound: int) -> int:
     return sum(1 for _ in _ssyt_fillings(shape, bound))
 
 
-@lru_cache(maxsize=None)
-def schur_monomials(shape_key, nvars: int) -> Dict[Tuple[int, ...], int]:
-    """Monomial expansion of a (skew) Schur polynomial in nvars variables."""
+@lru_cache(maxsize=1024)
+def schur_monomials(shape_key, nvars: int) -> Mapping[Tuple[int, ...], int]:
+    """Monomial expansion of a (skew) Schur polynomial in nvars variables.
+
+    Memoized across calls; every caller shares the result, so it is a
+    read-only view.
+    """
     outer, inner = shape_key
     shape = SkewShape(Partition(outer), Partition(inner))
     _guard(shape)
     out: Dict[Tuple[int, ...], int] = {}
     for content in _ssyt_fillings(shape, nvars):
         out[content] = out.get(content, 0) + 1
-    return out
+    return MappingProxyType(out)
 
 
-def _monomials(shape, nvars: int) -> Dict[Tuple[int, ...], int]:
+def _monomials(shape, nvars: int) -> Mapping[Tuple[int, ...], int]:
     shape = _as_skew(shape)
     return schur_monomials((tuple(shape.outer), tuple(shape.inner)), nvars)
 

@@ -10,10 +10,13 @@ class Partition(tuple):
     """A weakly decreasing tuple of positive integers.
 
     Trailing zeros are stripped on construction so that equal shapes are
-    equal as hash keys. The empty partition is ``Partition()``.
+    equal as hash keys. The empty partition is ``Partition()``. A Partition
+    passed in is returned as it is, since it was validated when made.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:
+            return parts
         parts = tuple(int(p) for p in parts)
         while parts and parts[-1] == 0:
             parts = parts[:-1]
@@ -37,13 +40,11 @@ class Partition(tuple):
         return self[i] if 0 <= i < len(self) else 0
 
     def transpose(self) -> "Partition":
-        if not self:
-            return Partition()
-        cols = [0] * self[0]
+        cols = [0] * (self[0] if self else 0)
         for p in self:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return _trusted(cols)
 
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self) + "]"
@@ -64,6 +65,13 @@ class Partition(tuple):
             return cls(int(tok) for tok in body.split(","))
         except ValueError as exc:
             raise ValueError(f"not a bracketed partition: {text!r}") from exc
+
+
+def _trusted(parts: Iterable[int]) -> Partition:
+    """A Partition from parts that internal code built weakly decreasing and
+    positive, without validating them again.
+    """
+    return tuple.__new__(Partition, parts)
 
 
 def contains(inner: Partition, outer: Partition) -> bool:
@@ -128,7 +136,7 @@ def partitions_of(n: int, max_length: int | None = None, max_part: int | None = 
 
     def rec(remaining: int, prev: int, rows_left: int, acc: list[int]) -> Iterator[Partition]:
         if remaining == 0:
-            yield Partition(acc)
+            yield _trusted(acc)
             return
         if rows_left == 0:
             return
@@ -150,18 +158,15 @@ def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:
     """All partitions contained in lam."""
+    lam = Partition(lam)
 
     def rec(i: int, prev: int, acc: list[int]) -> Iterator[Partition]:
-        if i == len(lam):
-            yield Partition(acc)
-            return
-        for v in range(min(prev, lam[i]), -1, -1):
-            acc.append(v)
-            yield from rec(i + 1, v, acc)
-            acc.pop()
-        # stopping early is covered by v = 0 rows, which Partition() strips
+        if i < len(lam):
+            for v in range(min(prev, lam[i]), 0, -1):
+                acc.append(v)
+                yield from rec(i + 1, v, acc)
+                acc.pop()
+        # rows i and below empty: the shape ends here, with no zero rows
+        yield _trusted(acc)
 
-    if not lam:
-        yield Partition()
-        return
-    yield from rec(0, lam[0], [])
+    yield from rec(0, lam[0] if lam else 0, [])

@@ -153,6 +153,9 @@ def test_virtual_character_arithmetic():
     assert (a + b).is_zero()
     assert a - a == VirtualCharacter(2, 1)
     assert a.scale(3).total_dim() == 6
+    assert a.scale(0).is_zero()
+    assert (a + a).terms == {((1, 0), (0,)): 2}
+    assert a.terms == {((1, 0), (0,)): 1}
     with pytest.raises(ValueError, match="rank mismatch"):
         a.add_term(((1,), (0,)), 1)
 
@@ -195,6 +198,27 @@ def test_graded_character():
     assert gc.euler_characteristic().terms == {((1, 0), ()): 2}
     gc.add_term(2, ((1, 0), ()), -1)
     assert gc.degrees() == [0]
+
+
+def test_graded_character_add_char():
+    base = VirtualCharacter(2, 0)
+    base.add_term(((1, 0), ()), 2)
+    base.add_term(((0, 0), ()), -1)
+    gc = GradedCharacter(2, 0)
+    gc.add_char(1, base, 3)
+    assert gc.degree(1).terms == {((1, 0), ()): 6, ((0, 0), ()): -3}
+    gc.add_char(2, base)
+    gc.add_term(2, ((0, 0), ()), 1)
+    assert gc.degree(2).terms == {((1, 0), ()): 2}
+    gc.add_char(1, base, -3)
+    gc.add_char(2, base, -1)
+    assert gc.degrees() == [2]
+    assert gc.degree(2).terms == {((0, 0), ()): 1}
+    gc.add_char(0, VirtualCharacter(2, 0))
+    assert gc.degrees() == [2]
+    assert base.terms == {((1, 0), ()): 2, ((0, 0), ()): -1}
+    with pytest.raises(ValueError, match="rank mismatch"):
+        gc.add_char(0, VirtualCharacter(1, 0))
 
 
 def test_graded_character_diff():

@@ -23,6 +23,10 @@ def test_construction_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    with pytest.raises(ValueError):
+        Partition([2, 3])
+    with pytest.raises(ValueError):
+        Partition([1, -1])
 
 
 def test_size_length_part():
@@ -48,6 +52,8 @@ def test_str_and_parse_roundtrip():
         Partition.parse("3,1")
     with pytest.raises(ValueError):
         Partition.parse("[a]")
+    with pytest.raises(ValueError):
+        Partition.parse("[1,x]")
 
 
 def test_contains():
@@ -113,3 +119,30 @@ def test_subpartitions():
         Partition((1, 1)),
         Partition((2, 1)),
     }
+
+
+def test_internally_built_shapes_are_valid_partitions():
+    lam = Partition((3, 1))
+    assert Partition(lam) is lam
+
+    def check(shape):
+        assert type(shape) is Partition
+        # re-validation raises on a bad shape and strips trailing zeros
+        assert shape == Partition(tuple(shape))
+        assert not shape or shape[-1] > 0
+
+    for n in range(9):
+        for shape in partitions_of(n):
+            check(shape)
+            check(shape.transpose())
+            if n:
+                subs = list(subpartitions(shape))
+                for sub in subs:
+                    check(sub)
+                box = partitions_in_box(shape.length, shape[0])
+                assert len(subs) == len(set(subs))
+                assert set(subs) == {mu for mu in box if contains(mu, shape)}
+    for rows in range(5):
+        for cols in range(5):
+            for shape in partitions_in_box(rows, cols):
+                check(shape)
