@@ -1,5 +1,6 @@
 import pytest
 
+from superbott.characters import schur_product, skew_expand
 from superbott.partitions import (
     Partition,
     SkewShape,
@@ -129,7 +130,6 @@ def test_internally_built_shapes_are_valid_partitions():
         assert type(shape) is Partition
         # re-validation raises on a bad shape and strips trailing zeros
         assert shape == Partition(tuple(shape))
-        assert not shape or shape[-1] > 0
 
     for n in range(9):
         for shape in partitions_of(n):
@@ -142,6 +142,13 @@ def test_internally_built_shapes_are_valid_partitions():
                 box = partitions_in_box(shape.length, shape[0])
                 assert len(subs) == len(set(subs))
                 assert set(subs) == {mu for mu in box if contains(mu, shape)}
+                if n <= 6:
+                    for inner in subs:
+                        for nu in skew_expand(SkewShape(shape, inner)):
+                            check(nu)
+            for mu in partitions_of(min(n, 3)):
+                for nu in schur_product(shape, mu, 3):
+                    check(nu)
     for rows in range(5):
         for cols in range(5):
             for shape in partitions_in_box(rows, cols):
