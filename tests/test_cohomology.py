@@ -1,4 +1,7 @@
+import hashlib
+import json
 import os
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -370,3 +373,45 @@ def test_partial_flag_char_chain_error():
     f = FlagSpec(steps=((1, 1),), d=SuperDim(3, 2), alpha=(2, 2), beta=())
     with pytest.raises(HypothesisError, match="chain condition"):
         partial_flag_char(f)
+
+
+def closed_form_digest(items):
+    """sha256 over one canonical JSON line per (bundle key, closed form)."""
+    h = hashlib.sha256()
+    for key, gc in items:
+        line = json.dumps([key, gc.to_json_obj()], sort_keys=True, separators=(",", ":"))
+        h.update(line.encode() + b"\n")
+    return h.hexdigest()
+
+
+def small_shapes(k):
+    return [lam for j in range(k + 1) for lam in partitions_of(j)]
+
+
+def test_closed_form_digests_pinned():
+    # Digests of the closed form taken before the Grassmannian and flag
+    # closed forms were one code path; both must stay byte-identical.
+    grass = []
+    for m, n in product(range(6), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), small_shapes(3), small_shapes(3)):
+            spec = bundle(p, q, m, n, a, b)
+            if hypothesis_case(spec) is not HypothesisCase.NONE:
+                grass.append(([p, q, m, n, list(a), list(b)], main_theorem_char(spec)))
+    flags = []
+    for m, n in product(range(6), range(4)):
+        for p1, q1 in product(range(m + 1), range(n + 1)):
+            for p2, q2, a, b in product(
+                range(p1, m + 1), range(q1, n + 1), small_shapes(2), small_shapes(2)
+            ):
+                try:
+                    f = FlagSpec(((p1, q1), (p2, q2)), SuperDim(m, n), a, b)
+                except ValueError:
+                    continue
+                try:
+                    gc = partial_flag_char(f)
+                except HypothesisError:
+                    continue
+                flags.append(([p1, q1, p2, q2, m, n, list(a), list(b)], gc))
+    assert (len(grass), len(flags)) == (2509, 764)
+    assert closed_form_digest(grass) == "abb12f8d78dc78c58769519b22347cf2e8f47d61c173dc326cd50fbedad0bfb8"
+    assert closed_form_digest(flags) == "220489dc8e43bc65f5728ca644db031057b040fd3a255ea7c4edc6a4fb12e391"
