@@ -176,6 +176,7 @@ def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partit
 
 @lru_cache(maxsize=4096)
 def _skew_expand_cached(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int], ...]:
+    """``skew_expand`` without the shape check: inner must lie inside outer."""
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     grid = [[0] * outer[r] for r in range(outer.length)]
     content = [0] * (outer.length + 1)

@@ -21,7 +21,7 @@ from .cohomology import (
     e1_page,
     hypothesis_case,
     main_theorem_char,
-    partial_flag_hilbert,
+    structure_sheaf_hilbert,
     verify_main_theorem,
 )
 from .errors import PreconditionError
@@ -243,7 +243,7 @@ def _dispatch(args) -> int:
     if args.command == "hilbert-flag":
         m, n = args.dim
         flag = FlagSpec(steps=tuple(args.steps), d=SuperDim(m, n))
-        _print_series(partial_flag_hilbert(flag), as_json)
+        _print_series(structure_sheaf_hilbert(flag), as_json)
         return 0
 
     if args.command == "lr":

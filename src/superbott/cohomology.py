@@ -3,8 +3,10 @@
 The first-page computation expands the associated graded bundle over the
 product of classical Grassmannians and pushes every Levi-irreducible term
 through the Bott algorithm; the closed form places one rational Schur
-character on the Poincare polynomial of the classical Grassmannian.  Under
-the main hypothesis the closed form is the cohomology, which the first page
+character on the Poincare polynomial of a classical flag variety.  A
+Grassmannian is the one-step flag: ``BundleSpec`` gives its steps as
+``((p, q),)``, and one closed form serves both specs.  Under the main
+hypothesis the closed form is the cohomology, which the first page
 converges to; the first page need not degenerate, so it may carry more.
 """
 
@@ -14,7 +16,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
 from .characters import (
@@ -25,7 +27,7 @@ from .characters import (
     pad_weight,
     rational_tensor,
 )
-from .errors import HypothesisError, SuperbottError, TermLimitError
+from .errors import HypothesisError, TermLimitError
 from .partitions import Partition, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
 from .superschur import SuperDim, rational_schur_char, super_schur_decompose
@@ -58,6 +60,8 @@ class HypothesisCase(Enum):
 class BundleSpec:
     """A Schur-functor bundle on the super Grassmannian of rank p|q planes."""
 
+    hypothesis_message: ClassVar[str] = "main theorem hypothesis not satisfied"
+
     p: int
     q: int
     d: SuperDim
@@ -71,6 +75,11 @@ class BundleSpec:
             raise ValueError("sub-bundle ranks out of range")
 
     @property
+    def steps(self) -> Tuple[Tuple[int, int], ...]:
+        """The Grassmannian as the one-step flag."""
+        return ((self.p, self.q),)
+
+    @property
     def m(self) -> int:
         return self.d.m
 
@@ -82,6 +91,8 @@ class BundleSpec:
 @dataclass(frozen=True)
 class FlagSpec:
     """A Schur-functor bundle on a super partial flag variety."""
+
+    hypothesis_message: ClassVar[str] = "partial flag chain condition not satisfied"
 
     steps: Tuple[Tuple[int, int], ...]
     d: SuperDim
@@ -110,24 +121,44 @@ class FlagSpec:
         return self.d.n
 
 
-def hypothesis_case(spec: BundleSpec) -> HypothesisCase:
-    """Which branch of the main-theorem hypothesis the bundle satisfies."""
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
-    if m - n - spec.alpha.length >= p - q >= spec.beta.length:
+def _weakly_decreasing(chain: List[int]) -> bool:
+    return all(x >= y for x, y in zip(chain, chain[1:]))
+
+
+def hypothesis_case(spec: BundleSpec | FlagSpec) -> HypothesisCase:
+    """Which branch of the main-theorem hypothesis the bundle satisfies.
+
+    On the steps p_i|q_i of the flag, CASE1 asks m - n - l(alpha) >= p_k -
+    q_k >= ... >= p_1 - q_1 >= l(beta), and CASE2 the same with the parities
+    swapped and the first rows of alpha and beta in place of the lengths.
+    """
+    gaps = [p - q for p, q in reversed(spec.steps)]
+    if _weakly_decreasing([spec.m - spec.n - spec.alpha.length, *gaps, spec.beta.length]):
         return HypothesisCase.CASE1
-    if n - m - spec.alpha.part(0) >= q - p >= spec.beta.part(0):
+    if _weakly_decreasing(
+        [spec.n - spec.m - spec.alpha.part(0), *(-g for g in gaps), spec.beta.part(0)]
+    ):
         return HypothesisCase.CASE2
     return HypothesisCase.NONE
 
 
-def structure_sheaf_hilbert(spec: BundleSpec) -> HilbertSeries:
-    """Hilbert series of the structure-sheaf cohomology ring."""
+def _flag_blocks(ranks: Tuple[int, ...], total: int) -> Tuple[int, ...]:
+    """Block sizes of the flag 0 <= r_1 <= ... <= r_k <= total."""
+    return tuple(b - a for a, b in zip((0, *ranks), (*ranks, total)))
+
+
+def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
+    """Hilbert series of the structure-sheaf cohomology ring.
+
+    It is the Poincare polynomial of the classical flag variety of the odd
+    ranks q_i in C^n in CASE1, and of the even ranks p_i in C^m in CASE2.
+    """
     case = hypothesis_case(spec)
     if case is HypothesisCase.CASE1:
-        return flag_poincare((spec.q, spec.n - spec.q))
+        return flag_poincare(_flag_blocks(tuple(q for _, q in spec.steps), spec.n))
     if case is HypothesisCase.CASE2:
-        return flag_poincare((spec.p, spec.m - spec.p))
-    raise HypothesisError("main theorem hypothesis not satisfied")
+        return flag_poincare(_flag_blocks(tuple(p for p, _ in spec.steps), spec.m))
+    raise HypothesisError(spec.hypothesis_message)
 
 
 # One Levi block side of rational_tensor(a, b): the entry_mask of each
@@ -274,29 +305,23 @@ def e1_bigraded(spec: BundleSpec) -> Dict[Tuple[int, int], VirtualCharacter]:
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _swap_blocks(char: VirtualCharacter) -> VirtualCharacter:
-    out = VirtualCharacter(char.n, char.m)
-    for (w0, w1), c in char.items():
-        out.add_term((w1, w0), c)
-    return out
+def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
+    """Closed-form cohomology: the structure-sheaf series times one character.
 
-
-def _generator_char(spec: BundleSpec, case: HypothesisCase) -> VirtualCharacter:
-    if case is HypothesisCase.CASE1:
-        return rational_schur_char(spec.alpha, spec.beta, spec.d)
-    shifted = rational_schur_char(
-        spec.alpha.transpose(), spec.beta.transpose(), spec.d.shifted()
-    )
-    return _swap_blocks(shifted)
-
-
-def main_theorem_char(spec: BundleSpec) -> GradedCharacter:
-    """Closed-form cohomology: the structure-sheaf series times one character."""
-    case = hypothesis_case(spec)
-    if case is HypothesisCase.NONE:
-        raise HypothesisError("main theorem hypothesis not satisfied")
-    base = _generator_char(spec, case)
+    The character is S_(alpha; beta) of C^{m|n} in CASE1.  CASE2 is CASE1 on
+    the parity-shifted space C^{n|m} with both shapes transposed, so there
+    the character is computed on n|m and its two blocks are swapped back.
+    """
     series = structure_sheaf_hilbert(spec)
+    if hypothesis_case(spec) is HypothesisCase.CASE1:
+        base = rational_schur_char(spec.alpha, spec.beta, spec.d)
+    else:
+        shifted = rational_schur_char(
+            spec.alpha.transpose(), spec.beta.transpose(), spec.d.shifted()
+        )
+        base = VirtualCharacter(spec.m, spec.n)
+        for (w0, w1), c in shifted.items():
+            base.add_term((w1, w0), c)
     gc = GradedCharacter(spec.m, spec.n)
     for deg, coeff in series.coeffs.items():
         gc.add_char(deg, base, coeff)
@@ -328,69 +353,3 @@ def verify_main_theorem(spec: BundleSpec) -> VerifyReport:
         diffs=diffs,
         possibly_nondegenerate=actual.has_odd_support(),
     )
-
-
-def _flag_case(flag: FlagSpec, with_shapes: bool) -> HypothesisCase:
-    m, n = flag.m, flag.n
-    la = flag.alpha.length if with_shapes else 0
-    lb = flag.beta.length if with_shapes else 0
-    a1 = flag.alpha.part(0) if with_shapes else 0
-    b1 = flag.beta.part(0) if with_shapes else 0
-    gaps = [p - q for p, q in flag.steps]
-    if all(x >= y for x, y in zip([m - n - la] + gaps[::-1], gaps[::-1] + [lb])):
-        return HypothesisCase.CASE1
-    gaps = [q - p for p, q in flag.steps]
-    if all(x >= y for x, y in zip([n - m - a1] + gaps[::-1], gaps[::-1] + [b1])):
-        return HypothesisCase.CASE2
-    return HypothesisCase.NONE
-
-
-def _flag_blocks(values: Tuple[int, ...], total: int) -> Tuple[int, ...]:
-    chain = list(values) + [total]
-    prev = 0
-    blocks = []
-    for v in chain:
-        blocks.append(v - prev)
-        prev = v
-    return tuple(blocks)
-
-
-def partial_flag_hilbert(flag: FlagSpec) -> HilbertSeries:
-    """Hilbert series of the structure-sheaf cohomology of a partial flag."""
-    case = _flag_case(flag, with_shapes=False)
-    if case is HypothesisCase.CASE1:
-        return flag_poincare(_flag_blocks(tuple(q for _, q in flag.steps), flag.n))
-    if case is HypothesisCase.CASE2:
-        return flag_poincare(_flag_blocks(tuple(p for p, _ in flag.steps), flag.m))
-    raise HypothesisError("partial flag chain condition not satisfied")
-
-
-def partial_flag_char(flag: FlagSpec) -> GradedCharacter:
-    """Cohomology of the top-quotient / bottom-sub Schur bundle on a flag."""
-    case = _flag_case(flag, with_shapes=True)
-    if case is HypothesisCase.NONE:
-        raise HypothesisError("partial flag chain condition not satisfied")
-    if case is HypothesisCase.CASE1:
-        base = rational_schur_char(flag.alpha, flag.beta, flag.d)
-        qs = tuple(q for _, q in flag.steps)
-        series = flag_poincare(_flag_blocks(qs, flag.n))
-        # stepwise factorization: each forgetful map contributes one
-        # Grassmannian factor
-        factor = HilbertSeries.one()
-        prev = 0
-        for q in qs:
-            factor = factor * flag_poincare((q - prev, flag.n - q))
-            prev = q
-        if factor != series:
-            raise SuperbottError("stepwise factorization failed")
-    else:
-        shifted = rational_schur_char(
-            flag.alpha.transpose(), flag.beta.transpose(), flag.d.shifted()
-        )
-        base = _swap_blocks(shifted)
-        ps = tuple(p for p, _ in flag.steps)
-        series = flag_poincare(_flag_blocks(ps, flag.m))
-    gc = GradedCharacter(flag.m, flag.n)
-    for deg, coeff in series.coeffs.items():
-        gc.add_char(deg, base, coeff)
-    return gc

@@ -9,20 +9,13 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 from .characters import (
     GLWeight,
     VirtualCharacter,
+    _skew_expand_cached,
     dual_weight,
     pad_weight,
     rational_tensor,
-    skew_expand,
 )
 from .errors import PreconditionError
-from .partitions import (
-    Partition,
-    SkewShape,
-    contains,
-    partitions_in_box,
-    partitions_of,
-    subpartitions,
-)
+from .partitions import Partition, contains, partitions_in_box, subpartitions
 
 
 @dataclass(frozen=True)
@@ -59,38 +52,16 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
     for mu in subpartitions(lam):
         if mu.length > d.m:
             continue
-        for nu, c in skew_expand(SkewShape(lam_t, mu.transpose())).items():
+        for nu, c in _skew_expand_cached(lam_t, mu.transpose()):
             if nu.length <= d.n:
                 out.add_term((pad_weight(mu, d.m), pad_weight(nu, d.n)), c)
-    return out
-
-
-def cauchy_sym(degree: int, dims_a: SuperDim, dims_b: SuperDim) -> Dict[Partition, Tuple[VirtualCharacter, VirtualCharacter]]:
-    """Degree-d piece of Sym(A tensor B): pairs S_lam(A) with S_lam(B)."""
-    out: Dict[Partition, Tuple[VirtualCharacter, VirtualCharacter]] = {}
-    for lam in partitions_of(degree):
-        ca = super_schur_decompose(lam, dims_a)
-        cb = super_schur_decompose(lam, dims_b)
-        if not ca.is_zero() and not cb.is_zero():
-            out[lam] = (ca, cb)
-    return out
-
-
-def cauchy_ext(degree: int, dims_a: SuperDim, dims_b: SuperDim) -> Dict[Partition, Tuple[VirtualCharacter, VirtualCharacter]]:
-    """Degree-d piece of the exterior algebra: pairs S_lam(A) with S_{lam^T}(B)."""
-    out: Dict[Partition, Tuple[VirtualCharacter, VirtualCharacter]] = {}
-    for lam in partitions_of(degree):
-        ca = super_schur_decompose(lam, dims_a)
-        cb = super_schur_decompose(lam.transpose(), dims_b)
-        if not ca.is_zero() and not cb.is_zero():
-            out[lam] = (ca, cb)
     return out
 
 
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:
     """Triples (delta, alpha, c) with c = c^lam_{alpha, delta^T} nonzero."""
     for alpha in subpartitions(lam):
-        for dt, c in skew_expand(SkewShape(lam, alpha)).items():
+        for dt, c in _skew_expand_cached(lam, alpha):
             yield dt.transpose(), alpha, c
 
 
@@ -146,7 +117,7 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
 def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim, dualize: bool) -> VirtualCharacter:
     """Character of the skew super Schur functor, optionally of the dual space."""
     out = VirtualCharacter(d.m, d.n)
-    for nu, c in skew_expand(SkewShape(outer, inner)).items():
+    for nu, c in _skew_expand_cached(outer, inner):
         piece = super_schur_decompose(nu, d)
         if dualize:
             piece = piece.dual()

@@ -15,8 +15,6 @@ from superbott.cohomology import (
     e1_page,
     hypothesis_case,
     main_theorem_char,
-    partial_flag_char,
-    partial_flag_hilbert,
     structure_sheaf_hilbert,
     verify_main_theorem,
 )
@@ -342,17 +340,17 @@ def test_e1_degree_zero_contains_closed_form():
 def test_partial_flag_hilbert_values():
     # one step reduces to the Grassmannian series
     f = FlagSpec(steps=((2, 1),), d=SuperDim(4, 2))
-    assert partial_flag_hilbert(f) == structure_sheaf_hilbert(bundle(2, 1, 4, 2))
+    assert structure_sheaf_hilbert(f) == structure_sheaf_hilbert(bundle(2, 1, 4, 2))
     # full flag on the odd side
     f = FlagSpec(steps=((2, 1), (4, 2)), d=SuperDim(6, 3))
-    assert partial_flag_hilbert(f) == q_factorial(3)
+    assert structure_sheaf_hilbert(f) == q_factorial(3)
     with pytest.raises(HypothesisError, match="chain condition"):
-        partial_flag_hilbert(FlagSpec(steps=((1, 1), (2, 3)), d=SuperDim(3, 3)))
+        structure_sheaf_hilbert(FlagSpec(steps=((1, 1), (2, 3)), d=SuperDim(3, 3)))
 
 
 def test_partial_flag_char_examples():
     f = FlagSpec(steps=((2, 1), (4, 2)), d=SuperDim(6, 3), alpha=(1,), beta=(1,))
-    gc = partial_flag_char(f)
+    gc = main_theorem_char(f)
     base = rational_schur_char((1,), (1,), SuperDim(6, 3))
     assert base.total_dim() == 80  # traceless endomorphisms of a 6|3 space
     assert gc.degree(0) == base
@@ -364,15 +362,37 @@ def test_partial_flag_char_examples():
 
 def test_partial_flag_char_one_step_reduces():
     f = FlagSpec(steps=((2, 1),), d=SuperDim(6, 3), alpha=(1,), beta=(1,))
-    assert partial_flag_char(f) == main_theorem_char(
+    assert main_theorem_char(f) == main_theorem_char(
         bundle(2, 1, 6, 3, alpha=(1,), beta=(1,))
     )
+    # every one-step flag is the Grassmannian, except for its error message
+    seen = set()
+    for m, n in product(range(5), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), small_shapes(2), small_shapes(2)):
+            try:
+                f = FlagSpec(((p, q),), SuperDim(m, n), a, b)
+            except ValueError:
+                continue
+            spec = bundle(p, q, m, n, a, b)
+            case = hypothesis_case(f)
+            assert case is hypothesis_case(spec), spec
+            seen.add(case)
+            if case is HypothesisCase.NONE:
+                for closed_form in (structure_sheaf_hilbert, main_theorem_char):
+                    with pytest.raises(HypothesisError, match="^partial flag chain condition"):
+                        closed_form(f)
+                    with pytest.raises(HypothesisError, match="^main theorem hypothesis"):
+                        closed_form(spec)
+            else:
+                assert structure_sheaf_hilbert(f) == structure_sheaf_hilbert(spec), spec
+                assert main_theorem_char(f) == main_theorem_char(spec), spec
+    assert seen == set(HypothesisCase)
 
 
 def test_partial_flag_char_chain_error():
     f = FlagSpec(steps=((1, 1),), d=SuperDim(3, 2), alpha=(2, 2), beta=())
     with pytest.raises(HypothesisError, match="chain condition"):
-        partial_flag_char(f)
+        main_theorem_char(f)
 
 
 def closed_form_digest(items):
@@ -408,7 +428,7 @@ def test_closed_form_digests_pinned():
                 except ValueError:
                     continue
                 try:
-                    gc = partial_flag_char(f)
+                    gc = main_theorem_char(f)
                 except HypothesisError:
                     continue
                 flags.append(([p1, q1, p2, q2, m, n, list(a), list(b)], gc))

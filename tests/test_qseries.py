@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from superbott.errors import PreconditionError
@@ -60,6 +62,19 @@ def test_flag_poincare_palindromic_and_rank():
         assert all(deg % 2 == 0 for deg in series.coeffs)
         assert all(c > 0 for c in series.coeffs.values())
         assert series.eval(1) == fact_ring_rank(dvec)
+
+
+def test_flag_poincare_factors_through_grassmannians():
+    # Forgetting the steps of a flag one at a time is a tower of Grassmannian
+    # bundles, so each step contributes one Grassmannian factor.
+    for n in range(1, 7):
+        for k in range(1, n):
+            for chain in combinations(range(1, n), k):
+                product = HilbertSeries.one()
+                for prev, q in zip((0,) + chain, chain):
+                    product = product * flag_poincare((q - prev, n - q))
+                blocks = tuple(b - a for a, b in zip((0,) + chain, chain + (n,)))
+                assert product == flag_poincare(blocks), chain
 
 
 def test_fact_ring_rank():

@@ -12,8 +12,6 @@ from superbott.superschur import (
     SuperDim,
     SuperWeight,
     _lr_pairs,
-    cauchy_ext,
-    cauchy_sym,
     classical_rational_weight,
     composite_det_specialized,
     composite_euler_char,
@@ -60,23 +58,6 @@ def test_super_schur_degree_additive_dims():
             a = super_schur_decompose(lam, SuperDim(2, 1))
             b = super_schur_decompose(lam.transpose(), SuperDim(1, 2))
             assert a.total_dim() == b.total_dim()
-
-
-def test_cauchy_sym_and_ext():
-    da, db = SuperDim(1, 1), SuperDim(1, 0)
-    sym = cauchy_sym(2, da, db)
-    ext = cauchy_ext(2, da, db)
-    # Sym^2 pairs equal shapes, the exterior square pairs transposes
-    assert all(lam.size == 2 for lam in sym)
-    total_sym = sum(
-        (a.total_dim()) * (b.total_dim()) for a, b in sym.values()
-    )
-    total_ext = sum(
-        (a.total_dim()) * (b.total_dim()) for a, b in ext.values()
-    )
-    # A tensor B is a 1|1 super space; Sym^2 and Wedge^2 both have dim 2
-    assert total_sym == 2
-    assert total_ext == 2
 
 
 def test_classical_rational_weight():
