@@ -122,7 +122,7 @@ class FlagSpec:
 
 
 def _weakly_decreasing(chain: List[int]) -> bool:
-    return all(x >= y for x, y in zip(chain, chain[1:]))
+    return chain == sorted(chain, reverse=True)
 
 
 def hypothesis_case(spec: BundleSpec | FlagSpec) -> HypothesisCase:
@@ -132,12 +132,11 @@ def hypothesis_case(spec: BundleSpec | FlagSpec) -> HypothesisCase:
     q_k >= ... >= p_1 - q_1 >= l(beta), and CASE2 the same with the parities
     swapped and the first rows of alpha and beta in place of the lengths.
     """
+    m, n = spec.m, spec.n
     gaps = [p - q for p, q in reversed(spec.steps)]
-    if _weakly_decreasing([spec.m - spec.n - spec.alpha.length, *gaps, spec.beta.length]):
+    if _weakly_decreasing([m - n - spec.alpha.length, *gaps, spec.beta.length]):
         return HypothesisCase.CASE1
-    if _weakly_decreasing(
-        [spec.n - spec.m - spec.alpha.part(0), *(-g for g in gaps), spec.beta.part(0)]
-    ):
+    if _weakly_decreasing([n - m - spec.alpha.part(0), *[-g for g in gaps], spec.beta.part(0)]):
         return HypothesisCase.CASE2
     return HypothesisCase.NONE
 
