@@ -268,7 +268,11 @@ def test_verify_boundary_mismatch_is_d1_exact():
     ).euler_characteristic()
 
 
-SMALL_SHAPES = [lam for k in range(4) for lam in partitions_of(k)]
+def small_shapes(k):
+    return [lam for j in range(k + 1) for lam in partitions_of(j)]
+
+
+SMALL_SHAPES = small_shapes(3)
 
 
 @st.composite
@@ -404,16 +408,12 @@ def closed_form_digest(items):
     return h.hexdigest()
 
 
-def small_shapes(k):
-    return [lam for j in range(k + 1) for lam in partitions_of(j)]
-
-
 def test_closed_form_digests_pinned():
     # Digests of the closed form taken before the Grassmannian and flag
     # closed forms were one code path; both must stay byte-identical.
     grass = []
     for m, n in product(range(6), repeat=2):
-        for p, q, a, b in product(range(m + 1), range(n + 1), small_shapes(3), small_shapes(3)):
+        for p, q, a, b in product(range(m + 1), range(n + 1), SMALL_SHAPES, SMALL_SHAPES):
             spec = bundle(p, q, m, n, a, b)
             if hypothesis_case(spec) is not HypothesisCase.NONE:
                 grass.append(([p, q, m, n, list(a), list(b)], main_theorem_char(spec)))
