@@ -197,3 +197,62 @@ def test_e1_json_bytes_pinned(capsys, args, digest):
     code, out, _ = capture(capsys, ["--output", "json", "e1"] + args)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Every subcommand in both output modes, bundles in CASE1, CASE2 and neither,
+# a `verify` mismatch and every exit-2 precondition.  Exit code, stdout and
+# stderr of each invocation go into one sha256.
+_BATTERY_COMMANDS = [
+    ["char-rational", "--alpha", "[1]", "--beta", "[1]", "--dim", "4,2"],
+    ["char-rational", "--alpha", "[2,1]", "--beta", "[1,1]", "--dim", "2,1"],
+    ["char-super", "--shape", "[2,1]", "--dim", "2,2"],
+    ["char-super", "--shape", "[]", "--dim", "0,0"],
+    ["cohom", "--grass", "1,1", "--dim", "3,2", "--alpha", "[2]"],
+    ["cohom", "--grass", "1,1", "--dim", "2,3", "--alpha", "[1,1]"],
+    ["cohom", "--grass", "1,1", "--dim", "2,2", "--alpha", "[2]"],
+    ["verify", "--grass", "1,1", "--dim", "3,2", "--alpha", "[2]"],
+    ["verify", "--grass", "1,1", "--dim", "2,3", "--alpha", "[1,1]"],
+    ["verify", "--grass", "1,1", "--dim", "4,2", "--alpha", "[1,1]"],
+    ["verify", "--grass", "1,1", "--dim", "2,2", "--alpha", "[2]"],
+    ["e1", "--grass", "1,1", "--dim", "3,2", "--alpha", "[2]"],
+    ["e1", "--grass", "1,1", "--dim", "2,3", "--alpha", "[1,1]"],
+    ["e1", "--grass", "1,1", "--dim", "2,2", "--alpha", "[2]"],
+    ["hilbert-grass", "1", "3"],
+    ["hilbert-grass", "3", "2"],
+    ["hilbert-flag", "--steps", "2,1", "4,2", "--dim", "6,3"],
+    ["hilbert-flag", "--steps", "1,1", "2,3", "--dim", "3,3"],
+    ["lr", "[2,1]", "[2,1]", "[3,2,1]"],
+    ["lr", "[1]", "[1]", "[3]"],
+    ["codim", "1", "1", "4", "1", "1"],
+    ["codim", "2", "2", "3", "0", "0"],
+]
+CLI_BATTERY = [
+    ["--output", output, *argv] for argv in _BATTERY_COMMANDS for output in ("table", "json")
+] + [
+    ["cohom", "--grass", "1,1", "--dim", "3,2", "--alpha", "[2]", "--verify"],
+    ["cohom", "--grass", "1,1", "--dim", "4,2", "--alpha", "[1,1]", "--verify"],
+    ["cohom", "--grass", "1,1", "--dim", "2,2", "--alpha", "[2]", "--verify"],
+]
+# Argparse words and wraps its own messages by Python version and COLUMNS,
+# so these invocations add only their exit code.
+CLI_BATTERY_EXIT_ONLY = [
+    [],
+    ["--help"],
+    ["e1", "--help"],
+    ["frobnicate"],
+    ["--output", "xml", "lr", "[1]", "[1]", "[2]"],
+    ["lr", "[1", "[1]", "[2]"],
+    ["cohom", "--grass", "1,1"],
+    ["cohom", "--grass", "1", "--dim", "3,2"],
+    ["codim", "1", "1", "x", "1", "1"],
+]
+CLI_BATTERY_DIGEST = "a73242c03cb175b04acb599743e9e5c6c279182892c13c9214a7193280ea3ffd"
+
+
+def test_cli_battery_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in CLI_BATTERY:
+        digest.update(json.dumps([argv, *capture(capsys, argv)]).encode())
+    for argv in CLI_BATTERY_EXIT_ONLY:
+        digest.update(json.dumps([argv, capture(capsys, argv)[0]]).encode())
+    assert digest.hexdigest() == CLI_BATTERY_DIGEST
