@@ -1,10 +1,11 @@
 """Command-line front end: character computations and verifications in batch.
 
-Exit codes: 0 on success, 2 when a mathematical precondition fails (with a
-JSON error object on stderr), 1 on malformed input.  All JSON output is
-canonical (sorted keys, no whitespace, no floats) so that parse + re-emit
-is byte-identical; dimensions are decimal strings since they overflow
-64-bit integers quickly.
+Exit codes: 0 on success, 2 when a mathematical precondition fails or a
+shape is too long for the recursive tableau search (with a JSON error
+object on stderr), 1 on malformed input.  All JSON output is canonical
+(sorted keys, no whitespace, no floats) so that parse + re-emit is
+byte-identical; dimensions are decimal strings since they overflow 64-bit
+integers quickly.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import json
 import sys
 from typing import Sequence
 
-from .characters import GradedCharacter, VirtualCharacter, weyl_dim
+from .characters import GradedCharacter, VirtualCharacter, lr_coefficient, weyl_dim
 from .cohomology import (
     BundleSpec,
     FlagSpec,
+    VerifyReport,
     e1_page,
     hypothesis_case,
     main_theorem_char,
@@ -26,7 +28,7 @@ from .cohomology import (
 )
 from .errors import PreconditionError
 from .partitions import Partition
-from .qseries import HilbertSeries, flag_poincare
+from .qseries import HilbertSeries, ci_codim, flag_poincare
 from .superschur import SuperDim, rational_schur_char, super_schur_decompose
 
 
@@ -56,75 +58,116 @@ def _int_pair(text: str):
         raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from exc
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+def _emit_json(obj, file=None) -> None:
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")), file=file)
 
 
 def _weight_str(w: Sequence[int]) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
-def _char_json(char: VirtualCharacter) -> dict:
-    return {
-        "m": char.m,
-        "n": char.n,
-        "terms": char.to_json_obj(),
-        "total_dim": str(char.total_dim()),
-    }
+def _json_obj(result) -> dict:
+    """The canonical JSON object of one result."""
+    if isinstance(result, (VirtualCharacter, GradedCharacter)):
+        key = "terms" if isinstance(result, VirtualCharacter) else "degrees"
+        dim = str(result.total_dim())
+        return {"m": result.m, "n": result.n, key: result.to_json_obj(), "total_dim": dim}
+    if isinstance(result, HilbertSeries):
+        coeffs = {str(deg): coeff for deg, coeff in result.coeffs.items()}
+        return {"coeffs": coeffs, "rank": str(result.eval(1))}
+    if isinstance(result, VerifyReport):
+        diffs = {str(deg): vc.to_json_obj() for deg, vc in result.diffs.items()}
+        return {"matches": result.matches, "diffs": diffs}
+    return {"value": result}
 
 
-def _graded_json(gc: GradedCharacter) -> dict:
-    return {
-        "m": gc.m,
-        "n": gc.n,
-        "degrees": gc.to_json_obj(),
-        "total_dim": str(gc.total_dim()),
-    }
-
-
-def _series_json(series: HilbertSeries) -> dict:
-    return {
-        "coeffs": {str(deg): series.coeffs[deg] for deg in sorted(series.coeffs)},
-        "rank": str(series.eval(1)),
-    }
-
-
-def _print_char_table(char: VirtualCharacter) -> None:
-    for (w0, w1), mult in char.sorted_terms():
-        dim = mult * weyl_dim(w0) * weyl_dim(w1)
-        print(f"{mult:>4}  {_weight_str(w0)} | {_weight_str(w1)}  dim {dim}")
-    print(f"total dim {char.total_dim()}")
-
-
-def _print_graded_table(gc: GradedCharacter) -> None:
-    if gc.is_zero():
+def _print_table(result) -> None:
+    """Print one result as a human-readable table."""
+    if isinstance(result, VirtualCharacter):
+        for (w0, w1), mult in result.sorted_terms():
+            dim = mult * weyl_dim(w0) * weyl_dim(w1)
+            print(f"{mult:>4}  {_weight_str(w0)} | {_weight_str(w1)}  dim {dim}")
+        print(f"total dim {result.total_dim()}")
+    elif isinstance(result, GradedCharacter) and result.is_zero():
         print("zero")
-        return
-    for deg in gc.degrees():
-        print(f"degree {deg}:")
-        for (w0, w1), mult in gc.degree(deg).sorted_terms():
-            print(f"  {mult:>4}  {_weight_str(w0)} | {_weight_str(w1)}")
-    print(f"total dim {gc.total_dim()}")
-
-
-def _print_series(series: HilbertSeries, as_json: bool) -> None:
-    if as_json:
-        _emit_json(_series_json(series))
+    elif isinstance(result, GradedCharacter):
+        for deg in result.degrees():
+            print(f"degree {deg}:")
+            for (w0, w1), mult in result.degree(deg).sorted_terms():
+                print(f"  {mult:>4}  {_weight_str(w0)} | {_weight_str(w1)}")
+        print(f"total dim {result.total_dim()}")
+    elif isinstance(result, VerifyReport):
+        print("verified" if result.matches else "MISMATCH")
+        for deg in sorted(result.diffs):
+            print(f"degree {deg} diff:")
+            _print_table(result.diffs[deg])
     else:
-        print(series)
+        print(result)
 
 
-def _bundle_from_args(args) -> BundleSpec:
+def _emit(args, *results, **extra) -> None:
+    """Print the results as one JSON object (with ``extra`` keys) or as tables."""
+    if args.output == "json":
+        obj = dict(extra)
+        for result in results:
+            obj.update(_json_obj(result))
+        _emit_json(obj)
+    else:
+        for result in results:
+            _print_table(result)
+
+
+def _show(args) -> int:
+    _emit(args, args.compute(args))
+    return 0
+
+
+def _bundle(args) -> BundleSpec:
     p, q = args.grass
-    m, n = args.dim
-    return BundleSpec(p=p, q=q, d=SuperDim(m, n), alpha=args.alpha, beta=args.beta)
+    return BundleSpec(p=p, q=q, d=SuperDim(*args.dim), alpha=args.alpha, beta=args.beta)
 
 
-def _add_bundle_args(sub: argparse.ArgumentParser) -> None:
+def _cohom(args) -> int:
+    spec = _bundle(args)
+    if not args.verify:
+        _emit(args, main_theorem_char(spec))
+        return 0
+    report = verify_main_theorem(spec)
+    if not report.matches:
+        _emit(args, report)
+        return 2
+    _emit(args, report, main_theorem_char(spec))
+    return 0
+
+
+def _verify(args) -> int:
+    report = verify_main_theorem(_bundle(args))
+    _emit(args, report)
+    return 0 if report.matches else 2
+
+
+def _e1(args) -> int:
+    spec = _bundle(args)
+    gc = e1_page(spec)
+    odd = gc.has_odd_support()
+    _emit(args, gc, case=hypothesis_case(spec).value, possibly_nondegenerate=odd)
+    if odd and args.output == "table":
+        print("warning: odd-degree terms, spectral sequence possibly nondegenerate")
+    return 0
+
+
+def _hilbert_grass(args) -> HilbertSeries:
+    if not 0 <= args.q <= args.n:
+        raise ValueError("need 0 <= q <= n")
+    return flag_poincare((args.q, args.n - args.q))
+
+
+def _add_bundle_args(sub: argparse.ArgumentParser, handler) -> None:
     sub.add_argument("--grass", type=_int_pair, required=True, metavar="P,Q")
     sub.add_argument("--dim", type=_int_pair, required=True, metavar="M,N")
     sub.add_argument("--alpha", type=_partition, default=Partition(), metavar="[..]")
     sub.add_argument("--beta", type=_partition, default=Partition(), metavar="[..]")
+    sub.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,156 +179,63 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--alpha", type=_partition, default=Partition(), metavar="[..]")
     sub.add_argument("--beta", type=_partition, default=Partition(), metavar="[..]")
     sub.add_argument("--dim", type=_int_pair, required=True, metavar="M,N")
+    sub.set_defaults(
+        handler=_show, compute=lambda a: rational_schur_char(a.alpha, a.beta, SuperDim(*a.dim))
+    )
 
     sub = subs.add_parser("char-super", help="Schur functor of a super space")
     sub.add_argument("--shape", type=_partition, required=True, metavar="[..]")
     sub.add_argument("--dim", type=_int_pair, required=True, metavar="M,N")
+    sub.set_defaults(
+        handler=_show, compute=lambda a: super_schur_decompose(a.shape, SuperDim(*a.dim))
+    )
 
     sub = subs.add_parser("cohom", help="cohomology via the closed form")
-    _add_bundle_args(sub)
+    _add_bundle_args(sub, _cohom)
     sub.add_argument("--verify", action="store_true", help="cross-check against the first page")
 
     sub = subs.add_parser("verify", help="cross-check the two pipelines")
-    _add_bundle_args(sub)
+    _add_bundle_args(sub, _verify)
 
     sub = subs.add_parser("e1", help="first page of the filtration spectral sequence")
-    _add_bundle_args(sub)
+    _add_bundle_args(sub, _e1)
 
     sub = subs.add_parser("hilbert-grass", help="structure-sheaf Hilbert series, Grassmannian")
     sub.add_argument("q", type=int)
     sub.add_argument("n", type=int)
+    sub.set_defaults(handler=_show, compute=_hilbert_grass)
 
     sub = subs.add_parser("hilbert-flag", help="structure-sheaf Hilbert series, partial flag")
     sub.add_argument("--steps", type=_int_pair, nargs="+", required=True, metavar="P,Q")
     sub.add_argument("--dim", type=_int_pair, required=True, metavar="M,N")
+    sub.set_defaults(
+        handler=_show,
+        compute=lambda a: structure_sheaf_hilbert(FlagSpec(a.steps, SuperDim(*a.dim))),
+    )
 
     sub = subs.add_parser("lr", help="Littlewood-Richardson coefficient")
     sub.add_argument("lam", type=_partition)
     sub.add_argument("mu", type=_partition)
     sub.add_argument("nu", type=_partition)
+    sub.set_defaults(handler=_show, compute=lambda a: lr_coefficient(a.lam, a.mu, a.nu))
 
     sub = subs.add_parser("codim", help="codimension of the composition-vanishing locus")
     for name in ("a1", "a2", "b", "c1", "c2"):
         sub.add_argument(name, type=int)
+    sub.set_defaults(handler=_show, compute=lambda a: ci_codim(a.a1, a.a2, a.b, a.c1, a.c2))
 
     return parser
 
 
-def _dispatch(args) -> int:
-    as_json = args.output == "json"
-
-    if args.command == "char-rational":
-        m, n = args.dim
-        char = rational_schur_char(args.alpha, args.beta, SuperDim(m, n))
-        if as_json:
-            _emit_json(_char_json(char))
-        else:
-            _print_char_table(char)
-        return 0
-
-    if args.command == "char-super":
-        m, n = args.dim
-        char = super_schur_decompose(args.shape, SuperDim(m, n))
-        if as_json:
-            _emit_json(_char_json(char))
-        else:
-            _print_char_table(char)
-        return 0
-
-    if args.command in ("cohom", "verify", "e1"):
-        spec = _bundle_from_args(args)
-        if args.command == "e1":
-            gc = e1_page(spec)
-            payload = _graded_json(gc)
-            payload["case"] = hypothesis_case(spec).value
-            payload["possibly_nondegenerate"] = gc.has_odd_support()
-            if as_json:
-                _emit_json(payload)
-            else:
-                _print_graded_table(gc)
-                if gc.has_odd_support():
-                    print("warning: odd-degree terms, spectral sequence possibly nondegenerate")
-            return 0
-        if args.command == "verify" or args.verify:
-            report = verify_main_theorem(spec)
-            if as_json:
-                _emit_json(
-                    {
-                        "matches": report.matches,
-                        "diffs": {str(d): vc.to_json_obj() for d, vc in sorted(report.diffs.items())},
-                    }
-                )
-            else:
-                print("verified" if report.matches else "MISMATCH")
-                for deg in sorted(report.diffs):
-                    print(f"degree {deg} diff:")
-                    _print_char_table(report.diffs[deg])
-            if args.command == "cohom" and report.matches:
-                gc = main_theorem_char(spec)
-                if as_json:
-                    _emit_json(_graded_json(gc))
-                else:
-                    _print_graded_table(gc)
-            return 0 if report.matches else 2
-        gc = main_theorem_char(spec)
-        if as_json:
-            _emit_json(_graded_json(gc))
-        else:
-            _print_graded_table(gc)
-        return 0
-
-    if args.command == "hilbert-grass":
-        if not 0 <= args.q <= args.n:
-            raise ValueError("need 0 <= q <= n")
-        _print_series(flag_poincare((args.q, args.n - args.q)), as_json)
-        return 0
-
-    if args.command == "hilbert-flag":
-        m, n = args.dim
-        flag = FlagSpec(steps=tuple(args.steps), d=SuperDim(m, n))
-        _print_series(structure_sheaf_hilbert(flag), as_json)
-        return 0
-
-    if args.command == "lr":
-        from .characters import lr_coefficient
-
-        value = lr_coefficient(args.lam, args.mu, args.nu)
-        if as_json:
-            _emit_json({"value": value})
-        else:
-            print(value)
-        return 0
-
-    if args.command == "codim":
-        from .qseries import ci_codim
-
-        value = ci_codim(args.a1, args.a2, args.b, args.c1, args.c2)
-        if as_json:
-            _emit_json({"value": value})
-        else:
-            print(value)
-        return 0
-
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
-    except PreconditionError as exc:
-        print(
-            json.dumps(
-                {"error": str(exc), "type": type(exc).__name__},
-                sort_keys=True,
-                separators=(",", ":"),
-            ),
-            file=sys.stderr,
-        )
+        return args.handler(args)
+    except (PreconditionError, RecursionError) as exc:
+        _emit_json({"error": str(exc), "type": type(exc).__name__}, file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import superbott
-from superbott.cli import run
+from superbott.cli import build_parser, run
 
 
 def capture(capsys, argv):
@@ -143,6 +144,21 @@ def test_char_rational_precondition_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim,alpha,code", [("3,2", "[2]", 0), ("4,2", "[1,1]", 2)])
+def test_cohom_verify_json_is_one_object(capsys, dim, alpha, code):
+    bundle = ["--grass", "1,1", "--dim", dim, "--alpha", alpha]
+    got, out, _ = capture(capsys, ["--output", "json", "cohom", *bundle, "--verify"])
+    assert got == code
+    payload = json.loads(out)
+    assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == out
+    report = json.loads(capture(capsys, ["--output", "json", "verify", *bundle])[1])
+    assert {key: payload.pop(key) for key in ("matches", "diffs")} == report
+    if code == 0:
+        assert payload == json.loads(capture(capsys, ["--output", "json", "cohom", *bundle])[1])
+    else:
+        assert payload == {}
+
+
 def run_module(*argv):
     # the child finds the package where this process imported it from
     src = str(Path(superbott.__file__).resolve().parents[1])
@@ -167,14 +183,33 @@ def test_package_runs_as_module():
     assert proc.stdout.strip() == '{"value":2}'
 
 
-def test_readme_examples_run(capsys):
+def test_recursion_depth_on_long_shapes_exit_2():
+    # the LR tableau search recurses once per cell; 1000 cells exceed the default limit
+    proc = run_module("superbott", "lr", "[]", "[1000]", "[1000]")
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["type"] == "RecursionError"
+    assert "Traceback" not in proc.stderr
+
+
+def readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    examples = [shlex.split(line) for line in block.splitlines() if line.startswith("superbott ")]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("superbott ")]
+
+
+def test_readme_examples_run(capsys):
+    examples = readme_cli_examples()
     assert len(examples) >= 5
     for argv in examples:
-        code, _, err = capture(capsys, argv[1:])
+        code, _, err = capture(capsys, argv)
         assert code == 0, (argv, err)
+
+
+def test_readme_examples_cover_every_subcommand():
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shown = {parser.parse_args(argv).command for argv in readme_cli_examples()}
+    assert shown == set(subparsers.choices)
 
 
 # sha256 of the stdout of `superbott --output json e1` on two rungs of the
