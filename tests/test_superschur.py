@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbott.characters import lr_coefficient
+from superbott.characters import pad_weight, schur_product, weyl_dim
 from superbott.errors import PreconditionError
 from superbott.oracle import specialize_character
 from superbott.partitions import Partition, partitions_of, subpartitions
@@ -60,6 +60,28 @@ def test_super_schur_degree_additive_dims():
             assert a.total_dim() == b.total_dim()
 
 
+def test_super_schur_superdimension():
+    # sdim S_lam(m|n) is the ordinary dim S_lam(C^(m-n)) for m >= n, and
+    # (-1)^|lam| dim S_(lam^T)(C^(n-m)) for m < n
+    def ordinary_dim(lam, r):
+        return weyl_dim(pad_weight(lam, r)) if lam.length <= r else 0
+
+    for m in range(6):
+        for n in range(6):
+            for k in range(6):
+                for lam in partitions_of(k):
+                    char = super_schur_decompose(lam, SuperDim(m, n))
+                    sdim = sum(
+                        c * weyl_dim(w0) * weyl_dim(w1) * (-1) ** sum(w1)
+                        for (w0, w1), c in char.items()
+                    )
+                    if m >= n:
+                        want = ordinary_dim(lam, m - n)
+                    else:
+                        want = (-1) ** k * ordinary_dim(lam.transpose(), n - m)
+                    assert sdim == want, (lam, m, n)
+
+
 def test_classical_rational_weight():
     assert classical_rational_weight(Partition((2,)), Partition((1,)), 3) == (2, 0, -1)
     assert classical_rational_weight(Partition(), Partition(), 2) == (0, 0)
@@ -67,7 +89,8 @@ def test_classical_rational_weight():
 
 
 def test_lr_pairs_match_per_delta_definition():
-    # (delta, alpha, c) with c = c^lam_{alpha, delta^T}, enumerated per delta
+    # (delta, alpha, c) with c = c^lam_{alpha, delta^T}, enumerated per delta;
+    # _lr_pairs reads the skew expansion, so c comes from the product search
     for k in range(7):
         for lam in partitions_of(k):
             want = Counter()
@@ -75,7 +98,7 @@ def test_lr_pairs_match_per_delta_definition():
                 for delta in partitions_of(j, max_length=lam.part(0), max_part=lam.length):
                     for alpha in subpartitions(lam):
                         if alpha.size == k - j:
-                            c = lr_coefficient(alpha, delta.transpose(), lam)
+                            c = schur_product(alpha, delta.transpose(), lam.length).get(lam, 0)
                             if c:
                                 want[delta, alpha, c] += 1
             assert Counter(_lr_pairs(lam)) == want, lam
