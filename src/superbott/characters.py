@@ -46,47 +46,11 @@ def weyl_dim(w: GLWeight) -> int:
     return dim
 
 
-@lru_cache(maxsize=4096)
-def _lr_count(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Count LR skew tableaux of shape nu/lam with content mu.
-
-    Cells are filled row by row, right to left within each row, which is
-    exactly the reverse reading word order used for the lattice condition.
-    """
-    nrows = nu.length
-    grid = [[0] * nu.part(r) for r in range(nrows)]
-    cells = []
-    for r in range(nrows):
-        for c in range(nu.part(r) - 1, lam.part(r) - 1, -1):
-            cells.append((r, c))
-    counts = [0] * mu.length
-
-    def fill(k: int) -> int:
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        total = 0
-        for v in range(1, mu.length + 1):
-            if counts[v - 1] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v - 2] <= counts[v - 1]:
-                continue  # lattice word prefix condition
-            if c + 1 < nu.part(r) and v > grid[r][c + 1]:
-                continue  # rows weakly increase
-            if r > 0 and c >= lam.part(r - 1) and v <= grid[r - 1][c]:
-                continue  # columns strictly increase
-            grid[r][c] = v
-            counts[v - 1] += 1
-            total += fill(k + 1)
-            counts[v - 1] -= 1
-            grid[r][c] = 0
-        return total
-
-    return fill(0)
-
-
 def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """Littlewood-Richardson coefficient: multiplicity of S_nu in S_lam x S_mu."""
+    """Littlewood-Richardson coefficient: multiplicity of S_nu in S_lam x S_mu.
+
+    c^nu_{lam, mu} is read as the s_mu entry of the expansion of nu/lam.
+    """
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size + mu.size != nu.size:
         return 0
@@ -94,9 +58,7 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not dominates(row_sum(lam, mu), nu):
         return 0
-    if not mu:
-        return 1
-    return _lr_count(lam, mu, nu)
+    return dict(_lr_count(nu, lam)).get(mu, 0)
 
 
 def _add_strip(
@@ -175,8 +137,17 @@ def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partit
 
 
 @lru_cache(maxsize=4096)
-def _skew_expand_cached(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int], ...]:
-    """``skew_expand`` without the shape check: inner must lie inside outer."""
+def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int], ...]:
+    """Count the LR tableaux of outer/inner by content: pairs (nu, c^outer_{inner, nu}).
+
+    Cells are filled in reverse reading order (rows top to bottom, each row
+    right to left) with free content: rows weakly increase, columns strictly
+    increase, and the reading word is a lattice word (each label i+1 is
+    preceded by more i's than i+1's).  Inner must lie inside outer.  Callers:
+    ``skew_expand``, ``lr_coefficient`` and superschur's ``_lr_pairs``,
+    ``super_schur_decompose`` and ``_skew_super_char``; perfbench's layer
+    trace reads this function and its cache by this name.
+    """
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     grid = [[0] * outer[r] for r in range(outer.length)]
     content = [0] * (outer.length + 1)
@@ -207,17 +178,11 @@ def _skew_expand_cached(outer: Partition, inner: Partition) -> Tuple[Tuple[Parti
 def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
     """Expand a skew Schur functor into straight shapes via LR coefficients.
 
-    One search fills the cells of outer/inner in reverse reading order
-    (rows top to bottom, each row right to left) with free content: rows
-    weakly increase, columns strictly increase, and the reading word is a
-    lattice word (each label i+1 is preceded by more i's than i+1's).  The
-    content nu of each such LR tableau is tallied, giving c^outer_{inner, nu}.
-
-    The expansion depends on the shape alone, so it is memoized across
-    calls, for the 4096 most recently used (outer, inner) pairs; each call
-    returns a fresh dict.
+    The expansion depends on the shape alone, so ``_lr_count`` memoizes it
+    across calls, for the 4096 most recently used (outer, inner) pairs; each
+    call returns a fresh dict.
     """
-    return dict(_skew_expand_cached(shape.outer, shape.inner))
+    return dict(_lr_count(shape.outer, shape.inner))
 
 
 @lru_cache(maxsize=4096)

@@ -9,7 +9,7 @@ from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 from .characters import (
     GLWeight,
     VirtualCharacter,
-    _skew_expand_cached,
+    _lr_count,
     dual_weight,
     pad_weight,
     rational_tensor,
@@ -52,7 +52,7 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
     for mu in subpartitions(lam):
         if mu.length > d.m:
             continue
-        for nu, c in _skew_expand_cached(lam_t, mu.transpose()):
+        for nu, c in _lr_count(lam_t, mu.transpose()):
             if nu.length <= d.n:
                 out.add_term((pad_weight(mu, d.m), pad_weight(nu, d.n)), c)
     return out
@@ -61,7 +61,7 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:
     """Triples (delta, alpha, c) with c = c^lam_{alpha, delta^T} nonzero."""
     for alpha in subpartitions(lam):
-        for dt, c in _skew_expand_cached(lam, alpha):
+        for dt, c in _lr_count(lam, alpha):
             yield dt.transpose(), alpha, c
 
 
@@ -117,7 +117,7 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
 def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim, dualize: bool) -> VirtualCharacter:
     """Character of the skew super Schur functor, optionally of the dual space."""
     out = VirtualCharacter(d.m, d.n)
-    for nu, c in _skew_expand_cached(outer, inner):
+    for nu, c in _lr_count(outer, inner):
         piece = super_schur_decompose(nu, d)
         if dualize:
             piece = piece.dual()
