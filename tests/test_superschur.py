@@ -1,3 +1,5 @@
+import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -122,17 +124,38 @@ def test_rational_schur_char_duality():
 
 
 def test_composite_euler_equals_rational():
-    for m, n in [(3, 1), (4, 2)]:
-        d = SuperDim(m, n)
-        for ka in range(3):
-            for kb in range(3):
-                for lam in partitions_of(ka):
-                    for mu in partitions_of(kb):
-                        if m < lam.length + mu.length - 1:
-                            continue
-                        assert composite_euler_char(lam, mu, d) == rational_schur_char(
-                            lam, mu, d
-                        )
+    # every term, against the independent skew-super-Schur route, from the
+    # complete-intersection bound up to two rows past it
+    shapes = [lam for k in range(5) for lam in partitions_of(k)]
+    for n in (1, 2, 3):
+        for lam in shapes:
+            for mu in shapes:
+                low = max(0, lam.length + mu.length - 1)
+                for m in range(low, low + 3):
+                    d = SuperDim(m, n)
+                    assert composite_euler_char(lam, mu, d) == rational_schur_char(lam, mu, d)
+
+
+# Large shapes, up to 5,493 terms each; the last-but-two sits at the
+# complete-intersection bound.
+RATIONAL_SCHUR_PINS = [
+    ((4, 3, 2, 1), (3, 3, 1, 1), 9, 3),
+    ((3, 2, 2, 2, 1), (3, 3, 2), 7, 3),
+    ((3, 2, 2, 2, 1), (2, 1, 1), 9, 3),
+    ((5, 2, 2), (2, 2), 4, 3),
+    ((4, 2, 1, 1, 1, 1), (2, 2, 2, 1, 1), 11, 2),
+    ((5, 1, 1, 1, 1, 1), (5, 1, 1, 1), 9, 2),
+]
+
+
+def test_rational_schur_char_digest_pinned():
+    h = hashlib.sha256()
+    for alpha, beta, m, n in RATIONAL_SCHUR_PINS:
+        char = rational_schur_char(Partition(alpha), Partition(beta), SuperDim(m, n))
+        obj = [[list(alpha), list(beta), m, n], char.to_json_obj(), char.total_dim()]
+        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "674a276e59c00d721ca74b6497e3c4df8da6f1c3739412667f847575d643fe91"
 
 
 def test_composite_box_padding_invariance():
