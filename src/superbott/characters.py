@@ -243,6 +243,20 @@ class VirtualCharacter:
             for key, mult in terms.items():
                 self.add_term(key, mult)
 
+    @classmethod
+    def _trusted(cls, m: int, n: int, terms: Dict[Tuple[GLWeight, GLWeight], int]) -> "VirtualCharacter":
+        """A character over terms that internal code built with ranks (m, n)
+        and no zero multiplicity, checking the ranks of one key only; the
+        dict is taken, not copied.
+        """
+        for w0, w1 in terms:
+            if len(w0) != m or len(w1) != n:
+                raise ValueError("rank mismatch")
+            break
+        out = cls(m, n)
+        out.terms = terms
+        return out
+
     def add_term(self, key: Tuple[GLWeight, GLWeight], mult: int) -> None:
         w0, w1 = key
         if len(w0) != self.m or len(w1) != self.n:
@@ -276,13 +290,16 @@ class VirtualCharacter:
     def __mul__(self, other: "VirtualCharacter") -> "VirtualCharacter":
         """Tensor product, decomposed blockwise via rational_tensor."""
         self._check(other)
-        out = VirtualCharacter(self.m, self.n)
+        terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
         for (a0, a1), c1 in self.terms.items():
             for (b0, b1), c2 in other.terms.items():
+                odd = rational_tensor(a1, b1).items()
                 for w0, c3 in rational_tensor(a0, b0).items():
-                    for w1, c4 in rational_tensor(a1, b1).items():
-                        out.add_term((w0, w1), c1 * c2 * c3 * c4)
-        return out
+                    c123 = c1 * c2 * c3
+                    for w1, c4 in odd:
+                        key = (w0, w1)
+                        terms[key] = terms.get(key, 0) + c123 * c4
+        return VirtualCharacter._trusted(self.m, self.n, {k: c for k, c in terms.items() if c})
 
     def dual(self) -> "VirtualCharacter":
         return VirtualCharacter(

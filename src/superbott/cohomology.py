@@ -200,6 +200,31 @@ def _levi_bott_pairs(upper: _BlockSide, lower: _BlockSide) -> List[Tuple[int, GL
     return out
 
 
+# Exterior-algebra shapes, as (size, even weight, odd weight): lam pairs the
+# sub bundle on the even side with the dual quotient on the odd side, nu the
+# other way around.  Each table depends on its box alone, so it is memoized
+# across calls; with m, n <= 7 there are at most 64 boxes.
+_ShapeTable = Tuple[Tuple[int, GLWeight, GLWeight], ...]
+
+
+@lru_cache(maxsize=64)
+def _lam_shapes(p: int, nq: int) -> _ShapeTable:
+    """Every lam in the p x (n - q) box."""
+    return tuple(
+        (lam.size, pad_weight(lam, p), dual_weight(pad_weight(lam.transpose(), nq)))
+        for lam in partitions_in_box(p, nq)
+    )
+
+
+@lru_cache(maxsize=64)
+def _nu_shapes(mq: int, q: int) -> _ShapeTable:
+    """Every nu in the (m - p) x q box."""
+    return tuple(
+        (nu.size, dual_weight(pad_weight(nu, mq)), pad_weight(nu.transpose(), q))
+        for nu in partitions_in_box(mq, q)
+    )
+
+
 def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple, tuple], int]]:
     """Yield (total degree, exterior degree, weight pair, multiplicity).
 
@@ -222,24 +247,13 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
     if alpha_terms.is_zero() or beta_terms.is_zero():
         return
 
-    # Exterior-algebra shapes: lam pairs the sub bundle on the even side with
-    # the dual quotient on the odd side, nu the other way around.
-    lam_list = list(partitions_in_box(p, nq))
-    nu_list = list(partitions_in_box(mq, q))
+    lams = _lam_shapes(p, nq)
+    nus = _nu_shapes(mq, q)
 
     budget = _max_terms()
-    count = len(alpha_terms.terms) * len(beta_terms.terms) * len(lam_list) * len(nu_list)
+    count = len(alpha_terms.terms) * len(beta_terms.terms) * len(lams) * len(nus)
     if count > budget:
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
-
-    lams = [
-        (lam.size, pad_weight(lam, p), dual_weight(pad_weight(lam.transpose(), nq)))
-        for lam in lam_list
-    ]
-    nus = [
-        (nu.size, dual_weight(pad_weight(nu, mq)), pad_weight(nu.transpose(), q))
-        for nu in nu_list
-    ]
 
     # Block tables: one row per distinct weight, one slot per shape position.
     even_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
@@ -318,9 +332,8 @@ def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
         shifted = rational_schur_char(
             spec.alpha.transpose(), spec.beta.transpose(), spec.d.shifted()
         )
-        base = VirtualCharacter(spec.m, spec.n)
-        for (w0, w1), c in shifted.items():
-            base.add_term((w1, w0), c)
+        swapped = {(w1, w0): c for (w0, w1), c in shifted.items()}
+        base = VirtualCharacter._trusted(spec.m, spec.n, swapped)
     gc = GradedCharacter(spec.m, spec.n)
     for deg, coeff in series.coeffs.items():
         gc.add_char(deg, base, coeff)

@@ -4,15 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .characters import (
     GLWeight,
     VirtualCharacter,
     _lr_count,
+    _rational_tensor_cached,
     dual_weight,
     pad_weight,
-    rational_tensor,
 )
 from .errors import PreconditionError
 from .partitions import Partition, contains, partitions_in_box, subpartitions
@@ -47,15 +48,16 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
     factor is the skew transpose shape, truncated to at most n rows.
     """
     lam = Partition(lam)
-    out = VirtualCharacter(d.m, d.n)
     lam_t = lam.transpose()
-    for mu in subpartitions(lam):
-        if mu.length > d.m:
-            continue
-        for nu, c in _lr_count(lam_t, mu.transpose()):
-            if nu.length <= d.n:
-                out.add_term((pad_weight(mu, d.m), pad_weight(nu, d.n)), c)
-    return out
+    # each mu, and each nu of one skew expansion, occurs once: no key repeats
+    terms = {
+        (pad_weight(mu, d.m), pad_weight(nu, d.n)): c
+        for mu in subpartitions(lam)
+        if mu.length <= d.m
+        for nu, c in _lr_count(lam_t, mu.transpose())
+        if nu.length <= d.n
+    }
+    return VirtualCharacter._trusted(d.m, d.n, terms)
 
 
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:
@@ -70,10 +72,10 @@ def classical_rational_weight(alpha: Partition, beta: Partition, m: int) -> GLWe
 
     Returns None when the blocks collide (the functor vanishes).
     """
-    if alpha.length + beta.length > m:
+    gap = m - len(alpha) - len(beta)
+    if gap < 0:
         return None
-    gap = (0,) * (m - alpha.length - beta.length)
-    return tuple(alpha) + gap + tuple(-x for x in reversed(beta))
+    return alpha + (0,) * gap + tuple(map(neg, beta[::-1]))
 
 
 def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCharacter:
@@ -81,37 +83,43 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
 
     Requires the complete-intersection bound m >= l(lam) + l(mu) - 1; under
     it the result is an honest (nonnegative) character.
+
+    The sum runs over alpha inside lam and beta inside mu.  The even weight
+    w0 = (alpha, 0, ..., 0, -beta reversed) determines the pair: its
+    positive entries are alpha and its negative ones beta.  So every term
+    (w0, w1) comes from exactly one (alpha, beta), and its odd part is the
+    GL(n) product X_alpha * Y_beta, where X_alpha = sum_delta
+    c^lam_{alpha, delta^T} s_delta and Y_beta = sum_gamma
+    c^mu_{beta, gamma^T} s_gamma^*.  Every coefficient is positive, so no
+    term cancels and each is written once.
     """
     lam, mu = Partition(lam), Partition(mu)
-    if d.m < lam.length + mu.length - 1:
+    m, n = d.m, d.n
+    if m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
-    # lam-pairs grouped by padded delta, mu-pairs by dualised padded gamma
-    deltas: Dict[GLWeight, List[Tuple[Partition, int]]] = {}
+    xs: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
     for delta, alpha, c in _lr_pairs(lam):
-        if delta.length <= d.n:
-            deltas.setdefault(pad_weight(delta, d.n), []).append((alpha, c))
-    gammas: Dict[GLWeight, List[Tuple[Partition, int]]] = {}
+        if delta.length <= n:
+            xs.setdefault(alpha, []).append((pad_weight(delta, n), c))
+    ys: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
     for gamma, beta, c in _lr_pairs(mu):
-        if gamma.length <= d.n:
-            gammas.setdefault(dual_weight(pad_weight(gamma, d.n)), []).append((beta, c))
-    alphas = {alpha for group in deltas.values() for alpha, _ in group}
-    betas = {beta for group in gammas.values() for beta, _ in group}
-    even = {(a, b): classical_rational_weight(a, b, d.m) for a in alphas for b in betas}
-    out = VirtualCharacter(d.m, d.n)
-    for gamma_w, beta_group in gammas.items():
-        for delta_w, alpha_group in deltas.items():
-            pairs = [
-                (even[alpha, beta], c1 * c2)
-                for alpha, c1 in alpha_group
-                for beta, c2 in beta_group
-                if even[alpha, beta] is not None
-            ]
-            if not pairs:
+        if gamma.length <= n:
+            ys.setdefault(beta, []).append((dual_weight(pad_weight(gamma, n)), c))
+    terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
+    for beta, y in ys.items():
+        for alpha, x in xs.items():
+            w0 = classical_rational_weight(alpha, beta, m)
+            if w0 is None:
                 continue
-            for w1, c3 in rational_tensor(gamma_w, delta_w).items():
-                for w0, c12 in pairs:
-                    out.add_term((w0, w1), c12 * c3)
-    return out
+            odd: Dict[GLWeight, int] = {}
+            for gamma_w, c2 in y:
+                for delta_w, c1 in x:
+                    c12 = c1 * c2
+                    for w1, c3 in _rational_tensor_cached(gamma_w, delta_w):
+                        odd[w1] = odd.get(w1, 0) + c12 * c3
+            for w1, c in odd.items():
+                terms[w0, w1] = c
+    return VirtualCharacter._trusted(m, n, terms)
 
 
 def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim, dualize: bool) -> VirtualCharacter:

@@ -19,7 +19,13 @@ def test_every_functools_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
                 maxsizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"characters._lr_count", "cohomology._block_side", "oracle.schur_monomials"} <= set(maxsizes)
+    assert {
+        "characters._lr_count",
+        "cohomology._block_side",
+        "cohomology._lam_shapes",
+        "cohomology._nu_shapes",
+        "oracle.schur_monomials",
+    } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []
 
 
