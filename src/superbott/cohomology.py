@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from math import comb
 from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
@@ -247,13 +248,14 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
     if alpha_terms.is_zero() or beta_terms.is_zero():
         return
 
-    lams = _lam_shapes(p, nq)
-    nus = _nu_shapes(mq, q)
-
+    # a rows x cols box holds comb(rows + cols, rows) partitions, so the
+    # budget is checked before any shape table is built
     budget = _max_terms()
-    count = len(alpha_terms.terms) * len(beta_terms.terms) * len(lams) * len(nus)
+    count = len(alpha_terms.terms) * len(beta_terms.terms) * comb(p + nq, p) * comb(mq + q, q)
     if count > budget:
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
+    lams = _lam_shapes(p, nq)
+    nus = _nu_shapes(mq, q)
 
     # Block tables: one row per distinct weight, one slot per shape position.
     even_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}

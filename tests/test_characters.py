@@ -168,6 +168,15 @@ def test_virtual_character_tensor_and_dual():
     d = a.dual()
     assert d.terms == {((0, -1), ()): 1}
     assert d.total_dim() == a.total_dim()
+    # (a - d)(a + d): the two cross terms cancel and leave no zero behind
+    assert ((a - d) * (a + d)).terms == {
+        ((2, 0), ()): 1,
+        ((1, 1), ()): 1,
+        ((0, -2), ()): -1,
+        ((-1, -1), ()): -1,
+    }
+    with pytest.raises(ValueError, match="rank mismatch"):
+        VirtualCharacter._trusted(2, 0, {((1,), ()): 1})
 
 
 def test_virtual_character_json_roundtrip():

@@ -11,6 +11,8 @@ from superbott.cohomology import (
     BundleSpec,
     FlagSpec,
     HypothesisCase,
+    _lam_shapes,
+    _nu_shapes,
     e1_bigraded,
     e1_page,
     hypothesis_case,
@@ -184,8 +186,11 @@ def test_e1_bigraded_totals_match():
 
 def test_e1_term_budget(monkeypatch):
     monkeypatch.setenv("SUPERBOTT_MAX_TERMS", "1")
-    with pytest.raises(TermLimitError, match="budget"):
+    before = _lam_shapes.cache_info(), _nu_shapes.cache_info()
+    with pytest.raises(TermLimitError, match="expansion of 12 terms exceeds budget 1"):
         e1_page(bundle(1, 1, 3, 2, alpha=(2,)))
+    # the count comes from the box sizes, before any shape table is built
+    assert (_lam_shapes.cache_info(), _nu_shapes.cache_info()) == before
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])
