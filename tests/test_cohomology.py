@@ -175,13 +175,27 @@ def test_e1_page_matches_blockwise_reference():
 
 
 def test_e1_bigraded_totals_match():
-    spec = bundle(1, 1, 3, 2, alpha=(2,))
-    by_pair = e1_bigraded(spec)
-    gc = e1_page(spec)
-    totals = {}
-    for (deg, _ext), vc in by_pair.items():
-        totals[deg] = totals.get(deg, 0) + vc.total_dim()
-    assert totals == {deg: gc.degree(deg).total_dim() for deg in gc.degrees()}
+    # Every bundle with m, n <= 4 and |alpha|, |beta| <= 2: the bigraded
+    # page is pinned by one sha256, every multiplicity is positive, and
+    # folding it over the exterior degree gives e1_page term by term.
+    shapes = small_shapes(2)
+    h = hashlib.sha256()
+    count = 0
+    for m, n in product(range(1, 5), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), shapes, shapes):
+            spec = bundle(p, q, m, n, a, b)
+            by_pair = e1_bigraded(spec)
+            folded = GradedCharacter(m, n)
+            for (deg, _ext), vc in by_pair.items():
+                assert all(c > 0 for c in vc.terms.values()), spec
+                folded.add_char(deg, vc)
+            assert folded == e1_page(spec), spec
+            page = [[deg, ext, by_pair[deg, ext].to_json_obj()] for deg, ext in sorted(by_pair)]
+            line = json.dumps([[p, q, m, n, list(a), list(b)], page], separators=(",", ":"))
+            h.update(line.encode() + b"\n")
+            count += 1
+    assert count == 3136
+    assert h.hexdigest() == "fa50099f8bd6e6c830ebfe941bc83b140f0bf0e98d498c2481ed1ff2dd3bdefa"
 
 
 def test_e1_term_budget(monkeypatch):
