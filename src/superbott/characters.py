@@ -412,9 +412,10 @@ class GradedCharacter:
             raise ValueError("rank mismatch")
         out: Dict[int, VirtualCharacter] = {}
         for deg in set(self.by_degree) | set(other.by_degree):
-            d = self.degree(deg) - other.degree(deg)
-            if not d.is_zero():
-                out[deg] = d
+            terms = dict(self.degree(deg).terms)
+            _merge(terms, other.degree(deg).terms, -1)
+            if terms:
+                out[deg] = VirtualCharacter._trusted(self.m, self.n, terms)
         return out
 
     def __eq__(self, other: object) -> bool:

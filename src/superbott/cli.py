@@ -84,10 +84,12 @@ def _json_obj(result) -> dict:
 def _print_table(result) -> None:
     """Print one result as a human-readable table."""
     if isinstance(result, VirtualCharacter):
+        total = 0
         for (w0, w1), mult in result.sorted_terms():
             dim = mult * weyl_dim(w0) * weyl_dim(w1)
+            total += dim
             print(f"{mult:>4}  {_weight_str(w0)} | {_weight_str(w1)}  dim {dim}")
-        print(f"total dim {result.total_dim()}")
+        print(f"total dim {total}")
     elif isinstance(result, GradedCharacter) and result.is_zero():
         print("zero")
     elif isinstance(result, GradedCharacter):

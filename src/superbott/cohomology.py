@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import ClassVar, Dict, Iterator, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
 from .characters import (
@@ -226,8 +226,8 @@ def _nu_shapes(mq: int, q: int) -> _ShapeTable:
     )
 
 
-def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple, tuple], int]]:
-    """Yield (total degree, exterior degree, weight pair, multiplicity).
+def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GLWeight], int]]:
+    """The first page as {(degree, exterior degree): {(w0, w1): mult}}.
 
     Each (alpha-term, beta-term, lam, nu) gives an even (GL(m)) and an odd
     (GL(n)) Levi weight, each a sum of pairs of rho-shifted blocks, one per
@@ -236,17 +236,22 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
     work runs in this order: first the even pairs are tested, and the term
     is dropped if none survives; only then are the odd blocks built and
     tested; only when both sides survive does ``levi_bott`` compute degrees
-    and weights.  Each side's blocks come from a table indexed by the shape's
-    position, filled on first use: even upper per (a0, nu), even lower per
-    (b0, lam), odd upper per (a1, lam) and odd lower per (b1, nu).
+    and weights.  Each alpha-term has one row of even upper blocks (one slot
+    per nu) and one of odd upper blocks (per lam), each beta-term one of even
+    lower (per lam) and one of odd lower blocks (per nu), filled on first
+    use; a weight shared by two terms fills its second row from the memo of
+    ``_block_side``.  Every multiplicity is a product of super-Schur, LR and
+    Bott multiplicities, all positive, so no term cancels and no block of
+    the result is zero.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
 
+    page: Dict[Tuple[int, int], Dict[Tuple[GLWeight, GLWeight], int]] = {}
     alpha_terms = super_schur_decompose(spec.alpha, SuperDim(mq, nq))
     beta_terms = super_schur_decompose(spec.beta, SuperDim(p, q))
     if alpha_terms.is_zero() or beta_terms.is_zero():
-        return
+        return page
 
     # a rows x cols box holds comb(rows + cols, rows) partitions, so the
     # budget is checked before any shape table is built
@@ -256,23 +261,11 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
     lams = _lam_shapes(p, nq)
     nus = _nu_shapes(mq, q)
-
-    # Block tables: one row per distinct weight, one slot per shape position.
-    even_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
-    even_lower: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
-    odd_upper: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
-    odd_lower: Dict[GLWeight, List[Optional[_BlockSide]]] = {}
-    alphas = []
-    for (a0, a1), ca in alpha_terms.items():
-        eu_row = even_upper.setdefault(a0, [None] * len(nus))
-        ou_row = odd_upper.setdefault(a1, [None] * len(lams))
-        alphas.append((a0, a1, ca, eu_row, ou_row))
-    betas = []
-    for (b0, b1), cb in beta_terms.items():
-        b0, b1 = dual_weight(b0), dual_weight(b1)
-        el_row = even_lower.setdefault(b0, [None] * len(lams))
-        ol_row = odd_lower.setdefault(b1, [None] * len(nus))
-        betas.append((b0, b1, cb, el_row, ol_row))
+    alphas = [(a0, a1, ca, [None] * len(nus), [None] * len(lams)) for (a0, a1), ca in alpha_terms.items()]
+    betas = [
+        (dual_weight(b0), dual_weight(b1), cb, [None] * len(lams), [None] * len(nus))
+        for (b0, b1), cb in beta_terms.items()
+    ]
 
     for a0, a1, ca, eu_row, ou_row in alphas:
         for b0, b1, cb, el_row, ol_row in betas:
@@ -299,25 +292,29 @@ def _e1_contributions(spec: BundleSpec) -> Iterator[Tuple[int, int, Tuple[tuple,
                     ext_deg = lam_size + nu_size
                     odd_parts = _levi_bott_pairs(odd_upper_side, odd_lower_side)
                     for d0, w0, c0 in _levi_bott_pairs(even_upper_side, even_lower_side):
+                        c0 *= mult
                         for d1, w1, c1 in odd_parts:
-                            yield d0 + d1, ext_deg, (w0, w1), mult * c0 * c1
+                            terms = page.get((d0 + d1, ext_deg))
+                            if terms is None:
+                                terms = page[d0 + d1, ext_deg] = {}
+                            terms[w0, w1] = terms.get((w0, w1), 0) + c0 * c1
+    return page
 
 
 def e1_page(spec: BundleSpec) -> GradedCharacter:
     """First page of the ideal-filtration spectral sequence, by total degree."""
     gc = GradedCharacter(spec.m, spec.n)
-    for deg, _ext, key, mult in _e1_contributions(spec):
-        gc.add_term(deg, key, mult)
+    for (deg, _ext), terms in _e1_terms(spec).items():
+        gc.add_char(deg, VirtualCharacter._trusted(spec.m, spec.n, terms))
     return gc
 
 
 def e1_bigraded(spec: BundleSpec) -> Dict[Tuple[int, int], VirtualCharacter]:
     """Diagnostic view keyed by (cohomological degree, exterior degree)."""
-    out: Dict[Tuple[int, int], VirtualCharacter] = {}
-    for deg, ext, key, mult in _e1_contributions(spec):
-        vc = out.setdefault((deg, ext), VirtualCharacter(spec.m, spec.n))
-        vc.add_term(key, mult)
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {
+        grade: VirtualCharacter._trusted(spec.m, spec.n, terms)
+        for grade, terms in _e1_terms(spec).items()
+    }
 
 
 def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
