@@ -236,13 +236,11 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
     work runs in this order: first the even pairs are tested, and the term
     is dropped if none survives; only then are the odd blocks built and
     tested; only when both sides survive does ``levi_bott`` compute degrees
-    and weights.  Each alpha-term has one row of even upper blocks (one slot
-    per nu) and one of odd upper blocks (per lam), each beta-term one of even
-    lower (per lam) and one of odd lower blocks (per nu), filled on first
-    use; a weight shared by two terms fills its second row from the memo of
-    ``_block_side``.  Every multiplicity is a product of super-Schur, LR and
-    Bott multiplicities, all positive, so no term cancels and no block of
-    the result is zero.
+    and weights.  Each alpha-term and each beta-term holds one row of blocks
+    per side, one slot per shape position, filled on first use; a weight
+    shared by two terms fills its second row from ``_block_side``'s memo.
+    Every multiplicity is a product of positive super-Schur, LR and Bott
+    multiplicities, so no term cancels and no block of the result is zero.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
