@@ -13,7 +13,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .partitions import Partition, SkewShape
-from .superschur import _complete_h, _fraction_det
+from .superschur import _fraction_det, _h_table
 
 MAX_CELLS = 12
 
@@ -139,15 +139,18 @@ def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], in
     gamma may be any integer sequence with nonnegative entries; for a
     non-partition sequence the determinant straightens to a signed Schur
     polynomial or zero, matching the Euler characteristic of the
-    corresponding homogeneous bundle.
+    corresponding homogeneous bundle.  Every entry is read from one table
+    of h_0, ..., h_{max(gamma) + n - 1} at the values.
     """
     gamma = tuple(gamma)
     inner = Partition(inner)
     n = len(gamma)
     if n == 0:
         return Fraction(1)
+    h = _h_table(max(gamma) + n - 1, values)
+    zero = Fraction(0)
     mat = [
-        [_complete_h(gamma[j] - inner.part(i) - j + i, values) for j in range(n)]
+        [h[k] if k >= 0 else zero for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
         for i in range(n)
     ]
     return _fraction_det(mat)

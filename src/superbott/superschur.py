@@ -159,39 +159,27 @@ def composite_euler_char(
     return out
 
 
-def _complete_h(k: int, values: Sequence[Fraction]) -> Fraction:
-    """Complete homogeneous symmetric polynomial h_k at the given values."""
-    if k < 0:
-        return Fraction(0)
-    # table[j] = h_j over the variables seen so far
-    table = [Fraction(0)] * (k + 1)
-    table[0] = Fraction(1)
-    for x in values:
-        for j in range(1, k + 1):
-            table[j] += x * table[j - 1]
-    return table[k]
+def _h_table(top: int, evens: Sequence[Fraction], odds: Sequence[Fraction] = ()) -> List[Fraction]:
+    """Coefficients h_0, ..., h_top of prod(1 + y t) / prod(1 - x t).
 
-
-def _elementary_e(k: int, values: Sequence[Fraction]) -> Fraction:
-    """Elementary symmetric polynomial e_k at the given values."""
-    if k < 0 or k > len(values):
-        return Fraction(0)
-    table = [Fraction(0)] * (k + 1)
-    table[0] = Fraction(1)
-    for x in values:
-        for j in range(min(k, len(values)), 0, -1):
+    With no odd points these are the complete homogeneous polynomials of
+    the evens; in general h_k is the character of Sym^k of the super space.
+    Each even point is a forward running sum (a factor 1 / (1 - x t)), each
+    odd point a backward pass (a factor 1 + y t).
+    """
+    table = [Fraction(1)] + [Fraction(0)] * top
+    for x in evens:
+        for j in range(1, top + 1):
             table[j] += x * table[j - 1]
-    return table[k]
+    for y in odds:
+        for j in range(top, 0, -1):
+            table[j] += y * table[j - 1]
+    return table
 
 
 def super_h(k: int, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Fraction:
     """Character of Sym^k of a super space, specialized at the given points."""
-    if k < 0:
-        return Fraction(0)
-    return sum(
-        (_complete_h(j, evens) * _elementary_e(k - j, odds) for j in range(k + 1)),
-        Fraction(0),
-    )
+    return _h_table(k, evens, odds)[k] if k >= 0 else Fraction(0)
 
 
 def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
@@ -227,6 +215,8 @@ def composite_det_specialized(
 
     The first q columns carry dual symmetric powers of mu, the remaining p
     columns symmetric powers of lam; all entries are specialized exactly.
+    Every entry is read from one h table of the points (``_h_table``) or
+    one of the inverse points, each built once per determinant.
     """
     lam, mu = Partition(lam), Partition(mu)
     evens, odds = eval_points
@@ -242,24 +232,15 @@ def composite_det_specialized(
         q = mu.length
     if p < lam.length or q < mu.length:
         raise PreconditionError("box smaller than the indexing partitions")
-    inv_evens = [Fraction(1) / x for x in evens]
-    inv_odds = [Fraction(1) / y for y in odds]
-
-    def h(k: int) -> Fraction:
-        return super_h(k, evens, odds)
-
-    def hbar(k: int) -> Fraction:
-        return super_h(k, inv_evens, inv_odds)
-
-    size = p + q
-    mat = []
-    for i in range(1, size + 1):
-        row = []
-        for j in range(1, q + 1):
-            row.append(hbar(mu.part(q - j) - i + j))
-        for j in range(1, p + 1):
-            row.append(h(lam.part(j - 1) + i - q - j))
-        mat.append(row)
+    # h is read at most p - 1 past lam's first part, hbar q - 1 past mu's
+    h = _h_table(lam.part(0) + p - 1, evens, odds)
+    hbar = _h_table(mu.part(0) + q - 1, [1 / x for x in evens], [1 / y for y in odds])
+    zero = Fraction(0)
+    mat = [
+        [hbar[k] if k >= 0 else zero for k in (mu.part(q - j) - i + j for j in range(1, q + 1))]
+        + [h[k] if k >= 0 else zero for k in (lam.part(j - 1) + i - q - j for j in range(1, p + 1))]
+        for i in range(1, p + q + 1)
+    ]
     return _fraction_det(mat)
 
 

@@ -1,7 +1,10 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superbott.oracle
 from superbott.characters import lr_coefficient, pad_weight, weyl_dim
 from superbott.oracle import (
     lr_bruteforce,
@@ -85,3 +88,22 @@ def test_specialize_weight_negative_entries():
 def test_specialize_weight_needs_matching_rank():
     with pytest.raises(ValueError):
         specialize_weight((1, 0), (Fraction(1),))
+
+
+def test_oracle_imports_no_fast_path():
+    # the oracle checks the fast paths, so of the engine it may use only the
+    # Fraction helpers of superschur, imported by name
+    tree = ast.parse(Path(superbott.oracle.__file__).read_text())
+    forbidden = {"characters", "cohomology", "bott"}
+    shared = {"_h_table", "_fraction_det"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = {part for alias in node.names for part in alias.name.split(".")}
+            assert not modules & (forbidden | {"superschur"}), (node.lineno, modules)
+        elif isinstance(node, ast.ImportFrom):
+            module = set((node.module or "").split("."))
+            names = {alias.name for alias in node.names}
+            assert not (module | names) & forbidden, (node.lineno, module | names)
+            assert "superschur" not in names, node.lineno
+            if "superschur" in module:
+                assert names <= shared, (node.lineno, names)

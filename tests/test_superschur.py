@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from superbott.characters import pad_weight, schur_product, weyl_dim
 from superbott.errors import PreconditionError
-from superbott.oracle import specialize_character
+from superbott.oracle import specialize_character, specialize_weight
 from superbott.partitions import Partition, partitions_of, subpartitions
 from superbott.superschur import (
     SuperDim,
@@ -50,6 +50,33 @@ def test_super_schur_dims_match_super_h():
         for k in range(5):
             c = super_schur_decompose(Partition((k,)), SuperDim(m, n))
             assert c.total_dim() == super_h(k, ones(m), ones(n))
+    # generic points, against the tableau route, which builds no h table:
+    # this checks the odd (elementary) pass of the table on its own
+    evens = [Fraction(2), Fraction(3, 2), Fraction(5)]
+    odds = [Fraction(7, 3), Fraction(1, 2), Fraction(-4, 5)]
+    for m in range(4):
+        for n in range(4):
+            xs, ys = evens[:m], odds[:n]
+            for k in range(6):
+                c = super_schur_decompose(Partition((k,)), SuperDim(m, n))
+                expected = Fraction(0)
+                for (w0, w1), mult in c.items():
+                    expected += mult * specialize_weight(w0, xs) * specialize_weight(w1, ys)
+                assert super_h(k, xs, ys) == expected, (m, n, k)
+
+
+def test_super_schur_is_rational_schur_with_empty_mu():
+    # S_lam(C^{m|n}) = S_(lam; empty): the two routes read different skew
+    # keys of _lr_count, (lam^T, mu^T) for one and (lam, alpha) for the other
+    cases = 0
+    for size in range(7):
+        for lam in partitions_of(size):
+            for m in range(max(0, lam.length - 1), 7):
+                for n in range(5):
+                    d = SuperDim(m, n)
+                    assert super_schur_decompose(lam, d) == rational_schur_char(lam, (), d), (lam, d)
+                    cases += 1
+    assert cases == 810
 
 
 def test_super_schur_degree_additive_dims():
