@@ -232,15 +232,14 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
     Each (alpha-term, beta-term, lam, nu) gives an even (GL(m)) and an odd
     (GL(n)) Levi weight, each a sum of pairs of rho-shifted blocks, one per
     pair of rational_tensor terms.  A pair survives Bott exactly when its
-    blocks share no entry, which is one AND of their ``entry_mask``s.  The
-    work runs in this order: first the even pairs are tested, and the term
-    is dropped if none survives; only then are the odd blocks built and
-    tested; only when both sides survive does ``levi_bott`` compute degrees
-    and weights.  Each alpha-term and each beta-term holds one row of blocks
-    per side, one slot per shape position, filled on first use; a weight
-    shared by two terms fills its second row from ``_block_side``'s memo.
-    Every multiplicity is a product of positive super-Schur, LR and Bott
-    multiplicities, so no term cancels and no block of the result is zero.
+    blocks share no entry, which is one AND of their ``entry_mask``s.  Each
+    alpha-term and each beta-term holds one row of blocks per side, one per
+    shape position; a weight shared by two terms reads its second row from
+    ``_block_side``'s memo.  A term whose even pairs all vanish is dropped
+    before its odd pairs are tested, and ``levi_bott`` computes degrees and
+    weights only when both sides survive.  Every multiplicity is a product
+    of positive super-Schur, LR and Bott multiplicities, so no term cancels
+    and no block of the result is zero.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
@@ -259,32 +258,31 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
     lams = _lam_shapes(p, nq)
     nus = _nu_shapes(mq, q)
-    alphas = [(a0, a1, ca, [None] * len(nus), [None] * len(lams)) for (a0, a1), ca in alpha_terms.items()]
+    alphas = [
+        (
+            ca,
+            [_block_side(a0, nu_even, p) for _, nu_even, _ in nus],
+            [_block_side(a1, lam_odd, q) for _, _, lam_odd in lams],
+        )
+        for (a0, a1), ca in alpha_terms.items()
+    ]
     betas = [
-        (dual_weight(b0), dual_weight(b1), cb, [None] * len(lams), [None] * len(nus))
-        for (b0, b1), cb in beta_terms.items()
+        (
+            cb,
+            [_block_side(b0, lam_even, 0) for _, lam_even, _ in lams],
+            [_block_side(b1, nu_odd, 0) for _, _, nu_odd in nus],
+        )
+        for b0, b1, cb in [(dual_weight(w0), dual_weight(w1), c) for (w0, w1), c in beta_terms.items()]
     ]
 
-    for a0, a1, ca, eu_row, ou_row in alphas:
-        for b0, b1, cb, el_row, ol_row in betas:
+    for ca, eu_row, ou_row in alphas:
+        for cb, el_row, ol_row in betas:
             mult = ca * cb
-            for i, (lam_size, lam_even, lam_odd) in enumerate(lams):
-                even_lower_side = el_row[i]
-                if even_lower_side is None:
-                    even_lower_side = el_row[i] = _block_side(b0, lam_even, 0)
-                for j, (nu_size, nu_even, nu_odd) in enumerate(nus):
+            for (lam_size, _, _), even_lower_side, odd_upper_side in zip(lams, el_row, ou_row):
+                for (nu_size, _, _), even_upper_side, odd_lower_side in zip(nus, eu_row, ol_row):
                     # upper is the quotient block, lower the sub block
-                    even_upper_side = eu_row[j]
-                    if even_upper_side is None:
-                        even_upper_side = eu_row[j] = _block_side(a0, nu_even, p)
                     if not _survives(even_upper_side[0], even_lower_side[0]):
                         continue
-                    odd_upper_side = ou_row[i]
-                    if odd_upper_side is None:
-                        odd_upper_side = ou_row[i] = _block_side(a1, lam_odd, q)
-                    odd_lower_side = ol_row[j]
-                    if odd_lower_side is None:
-                        odd_lower_side = ol_row[j] = _block_side(b1, nu_odd, 0)
                     if not _survives(odd_upper_side[0], odd_lower_side[0]):
                         continue
                     ext_deg = lam_size + nu_size
