@@ -12,7 +12,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .partitions import Partition, SkewShape
+from .partitions import Partition, SkewShape, partitions_of
 from .superschur import _fraction_det, _h_table
 
 MAX_CELLS = 12
@@ -90,37 +90,66 @@ def _monomials(shape, nvars: int) -> Mapping[Tuple[int, ...], int]:
     return schur_monomials((tuple(shape.outer), tuple(shape.inner)), nvars)
 
 
+def _strips_removed(shape: Tuple[int, ...], size: int) -> Iterator[Tuple[int, ...]]:
+    """Every inner shape sigma such that shape/sigma is a horizontal strip of the given size."""
+    n = len(shape)
+
+    def rec(i: int, left: int, acc: list) -> Iterator[Tuple[int, ...]]:
+        if i == n:
+            if left == 0:
+                yield tuple(x for x in acc if x)
+            return
+        below = shape[i + 1] if i + 1 < n else 0
+        for s in range(max(below, shape[i] - left), shape[i] + 1):
+            acc.append(s)
+            yield from rec(i + 1, left - (shape[i] - s), acc)
+            acc.pop()
+
+    yield from rec(0, size, [])
+
+
+@lru_cache(maxsize=4096)
+def _kostka(shape: Tuple[int, ...], content: Tuple[int, ...]) -> int:
+    """Kostka number: semistandard tableaux of the shape with the given content.
+
+    The cells holding the largest label form a horizontal strip of
+    content[-1] cells; removing it leaves a tableau of the rest of the
+    content, so the count recurses on the content's length.
+    """
+    if not content:
+        return 0 if shape else 1
+    if len(shape) > len(content):
+        return 0
+    rest = content[:-1]
+    return sum(_kostka(inner, rest) for inner in _strips_removed(shape, content[-1]))
+
+
 @lru_cache(maxsize=16)
 def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
     nvars = max(1, lam.length + mu.length)
-    prod: Dict[Tuple[int, ...], int] = {}
-    for e1, c1 in _monomials(lam, nvars).items():
-        for e2, c2 in _monomials(mu, nvars).items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            prod[key] = prod.get(key, 0) + c1 * c2
+    mono_lam, mono_mu = _monomials(lam, nvars), _monomials(mu, nvars)
     out = []
-    while prod:
-        best = max(e for e in prod if all(a >= b for a, b in zip(e, e[1:])))
-        coeff = prod[best]
-        nu = Partition(best)
-        out.append((nu, coeff))
-        for e, c in _monomials(nu, nvars).items():
-            nc = prod.get(e, 0) - coeff * c
-            if nc:
-                prod[e] = nc
-            else:
-                prod.pop(e, None)
+    for kappa in partitions_of(lam.size + mu.size, max_length=nvars):
+        padded = kappa + (0,) * (nvars - kappa.length)
+        coeff = 0
+        for e, c in mono_lam.items():
+            coeff += c * mono_mu.get(tuple(a - b for a, b in zip(padded, e)), 0)
+        coeff -= sum(c * _kostka(rho, kappa) for rho, c in out)
+        if coeff:
+            out.append((kappa, coeff))
     return tuple(out)
 
 
 def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
-    """Expand s_lam * s_mu into Schur polynomials by monomial elimination.
+    """Expand s_lam * s_mu into Schur polynomials by Kostka triangularity.
 
-    The product is computed as a plain polynomial and peeled from the
-    lexicographically largest weakly decreasing exponent downwards; this
-    is triangular with respect to dominance order.  The last few
-    expansions are cached, so that ``lr_bruteforce`` over every nu of one
-    (lam, mu) expands once.
+    The coefficient of x^kappa in the product is the sum over the
+    monomials x^e of s_lam of that of x^(kappa - e) in s_mu; it equals
+    sum_nu c_nu K(nu, kappa), where K(nu, kappa) is zero unless nu
+    dominates kappa.  Peeling the dominant kappa in lex-decreasing order
+    therefore leaves c_kappa.  No LR rule is used.  The last few expansions
+    are cached, so that ``lr_bruteforce`` over every nu of one (lam, mu)
+    expands once.
     """
     return dict(_schur_expand_cached(Partition(lam), Partition(mu)))
 
@@ -133,6 +162,17 @@ def lr_bruteforce(lam, mu, nu) -> int:
     return schur_expand_bruteforce(lam, mu).get(nu, 0)
 
 
+def _jt_det(h: Sequence[Fraction], gamma: Tuple[int, ...], inner: Partition) -> Fraction:
+    """Jacobi-Trudi determinant det h(gamma_j - inner_i - j + i), every entry read from h."""
+    n = len(gamma)
+    zero = Fraction(0)
+    mat = [
+        [h[k] if k >= 0 else zero for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
+        for i in range(n)
+    ]
+    return _fraction_det(mat)
+
+
 def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], inner=()) -> Fraction:
     """Jacobi-Trudi determinant det h(gamma_j - inner_i - j + i) at the values.
 
@@ -143,17 +183,9 @@ def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], in
     of h_0, ..., h_{max(gamma) + n - 1} at the values.
     """
     gamma = tuple(gamma)
-    inner = Partition(inner)
-    n = len(gamma)
-    if n == 0:
+    if not gamma:
         return Fraction(1)
-    h = _h_table(max(gamma) + n - 1, values)
-    zero = Fraction(0)
-    mat = [
-        [h[k] if k >= 0 else zero for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
-        for i in range(n)
-    ]
-    return _fraction_det(mat)
+    return _jt_det(_h_table(max(gamma) + len(gamma) - 1, values), gamma, Partition(inner))
 
 
 def specialize_schur(shape, values: Sequence[Fraction]) -> Fraction:
@@ -175,12 +207,12 @@ def specialize_schur_ssyt(shape, values: Sequence[Fraction]) -> Fraction:
     return total
 
 
-def _specialize_shifted(w: Sequence[int], values: Sequence[Fraction], evaluate) -> Fraction:
-    """Evaluate a rational GL character (possibly negative weight).
+def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
+    """Evaluate a rational GL character via tableaux (no determinant).
 
-    w is shifted by k*(1,...,1) into a partition, evaluate(partition,
-    values) specializes that Schur polynomial, and the result is divided
-    by the k-th power of the product of the values.
+    w is shifted by k*(1,...,1) into a partition, that Schur polynomial is
+    summed over its tableaux, and the result is divided by the k-th power
+    of the product of the values.
     """
     w = tuple(w)
     if len(w) != len(values):
@@ -188,7 +220,7 @@ def _specialize_shifted(w: Sequence[int], values: Sequence[Fraction], evaluate) 
     if not w:
         return Fraction(1)
     k = max(0, -min(w))
-    result = evaluate(Partition(x + k for x in w), values)
+    result = specialize_schur_ssyt(Partition(x + k for x in w), values)
     if k:
         denom = Fraction(1)
         for x in values:
@@ -197,19 +229,46 @@ def _specialize_shifted(w: Sequence[int], values: Sequence[Fraction], evaluate) 
     return result
 
 
-def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
-    """Evaluate a rational GL character via tableaux (no determinant)."""
-    return _specialize_shifted(w, values, specialize_schur_ssyt)
+def _weight_values(weights, values: Sequence[Fraction]) -> Dict[Tuple[int, ...], Fraction]:
+    """Evaluate rational GL characters of one rank at the same points.
+
+    Each weight w is shifted by k = max(0, -min(w)) into a partition gamma.
+    Every Jacobi-Trudi determinant reads one h table, sized for the largest
+    gamma_1 + l(gamma) - 1, and the shift is undone by dividing by the k-th
+    power of the product of the values.
+    """
+    shifted = {}
+    for w in weights:
+        if len(w) != len(values):
+            raise ValueError("need one value per weight entry")
+        k = max(0, -min(w, default=0))
+        shifted[w] = (k, Partition(x + k for x in w))
+    h = _h_table(max([0] + [g.part(0) + g.length - 1 for _, g in shifted.values()]), values)
+    prod = Fraction(1)
+    for x in values:
+        prod *= x
+    out = {}
+    for w, (k, gamma) in shifted.items():
+        value = _jt_det(h, gamma, Partition())
+        out[w] = value / prod**k if k else value
+    return out
 
 
 def specialize_weight_jt(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     """Same as specialize_weight but through the Jacobi-Trudi determinant."""
-    return _specialize_shifted(w, values, specialize_schur)
+    w = tuple(w)
+    return _weight_values([w], values)[w]
 
 
 def specialize_character(char, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Fraction:
-    """Evaluate a VirtualCharacter at rational points, one per variable."""
+    """Evaluate a VirtualCharacter at rational points, one per variable.
+
+    Each distinct even and odd weight is evaluated once, every determinant
+    of a side read from one h table of that side's points.
+    """
+    even = _weight_values({w0 for (w0, _), _ in char.items()}, evens)
+    odd = _weight_values({w1 for (_, w1), _ in char.items()}, odds)
     total = Fraction(0)
     for (w0, w1), mult in char.items():
-        total += mult * specialize_weight_jt(w0, evens) * specialize_weight_jt(w1, odds)
+        total += mult * even[w0] * odd[w1]
     return total

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
@@ -183,24 +184,35 @@ def super_h(k: int, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Frac
 
 
 def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square matrix of rationals, by fraction-free elimination.
+
+    Each row is scaled to integers by the lcm of its denominators. Bareiss
+    elimination then divides exactly at every step (Bareiss, Math. Comp.
+    1968), so the one division left is by the product of the row scales.
+    """
     n = len(mat)
-    mat = [row[:] for row in mat]
-    det = Fraction(1)
+    rows = []
+    scale = 1
+    for row in mat:
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    sign, prev = 1, 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
             return Fraction(0)
         if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            factor = mat[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    mat[r][c] -= factor * mat[col][c]
-    return det
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        for row in rows[col + 1 :]:
+            a = row[col]
+            for c in range(col + 1, n):
+                row[c] = (p * row[c] - a * top[c]) // prev
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def composite_det_specialized(

@@ -24,6 +24,7 @@ def test_every_functools_cache_is_bounded():
         "cohomology._block_side",
         "cohomology._lam_shapes",
         "cohomology._nu_shapes",
+        "oracle._kostka",
         "oracle.schur_monomials",
     } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []

@@ -1,14 +1,18 @@
 import ast
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import superbott.oracle
-from superbott.characters import lr_coefficient, pad_weight, weyl_dim
+from superbott.characters import VirtualCharacter, lr_coefficient, pad_weight, weyl_dim
 from superbott.oracle import (
+    _kostka,
     lr_bruteforce,
     schur_expand_bruteforce,
+    schur_monomials,
+    specialize_character,
     specialize_schur,
     specialize_schur_ssyt,
     specialize_weight,
@@ -16,6 +20,7 @@ from superbott.oracle import (
     ssyt_count,
 )
 from superbott.partitions import Partition, SkewShape, partitions_of
+from superbott.superschur import SuperDim, rational_schur_char
 
 
 def test_ssyt_count_small():
@@ -48,6 +53,32 @@ def test_lr_bruteforce_values():
 def test_schur_expand_bruteforce_is_a_decomposition():
     got = schur_expand_bruteforce((2,), (1, 1))
     assert got == {Partition((3, 1)): 1, Partition((2, 1, 1)): 1}
+
+
+def test_lr_oracle_decomposes_the_product():
+    # the oracle never forms the product; its expansion must still sum back to it
+    shapes = [lam for k in range(4) for lam in partitions_of(k)]
+    for lam in shapes:
+        for mu in shapes:
+            nvars = max(1, lam.length + mu.length)
+            product = Counter()
+            for e1, c1 in schur_monomials((lam, ()), nvars).items():
+                for e2, c2 in schur_monomials((mu, ()), nvars).items():
+                    product[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
+            expanded = Counter()
+            for nu, c in schur_expand_bruteforce(lam, mu).items():
+                for e, k in schur_monomials((nu, ()), nvars).items():
+                    expanded[e] += c * k
+            assert expanded == product, (lam, mu)
+
+
+def test_kostka_counts_tableaux_by_content():
+    for k in range(8):
+        for rho in partitions_of(k):
+            for kappa in partitions_of(k):
+                n = max(1, kappa.length)
+                padded = kappa + (0,) * (n - kappa.length)
+                assert _kostka(rho, kappa) == schur_monomials((rho, ()), n).get(padded, 0), (rho, kappa)
 
 
 def test_specialize_schur_values():
@@ -83,6 +114,40 @@ def test_specialize_weight_negative_entries():
     assert specialize_weight((-1, -1), pts) == Fraction(1, 6)
     for w in [(1, -1), (2, 0), (0, -2), (3, -1)]:
         assert specialize_weight(w, pts) == specialize_weight_jt(w, pts)
+
+
+def _tableau_route(char, evens, odds):
+    total = Fraction(0)
+    for (w0, w1), mult in char.items():
+        total += mult * specialize_weight(w0, evens) * specialize_weight(w1, odds)
+    return total
+
+
+def test_specialize_character_matches_tableau_route():
+    evens = [Fraction(2), Fraction(-3, 2), Fraction(1, 3), Fraction(5)]
+    odds = [Fraction(7, 3), Fraction(-1, 2)]
+    # negative weights, one and two odd points, and an empty even or odd side
+    cases = [
+        ((2, 1), (1,), 2, 1),
+        ((2, 1), (1, 1), 3, 2),
+        ((1,), (2, 1), 2, 2),
+        ((3,), (1,), 2, 1),
+        ((2,), (), 0, 2),
+        ((), (1,), 0, 2),
+        ((1, 1), (1,), 3, 0),
+    ]
+    for lam, mu, m, n in cases:
+        char = rational_schur_char(Partition(lam), Partition(mu), SuperDim(m, n))
+        assert char.terms
+        pts = (evens[:m], odds[:n])
+        assert specialize_character(char, *pts) == _tableau_route(char, *pts), (lam, mu, m, n)
+    # terms sharing w0, with weights of one side that need tables of different sizes
+    shared = VirtualCharacter(
+        2, 1, {((0, -2), (1,)): 3, ((0, -2), (-1,)): -2, ((3, 1), (0,)): 1, ((1, -1), (2,)): 5, ((0, 0), (1,)): 1}
+    )
+    assert specialize_character(shared, evens[:2], odds[:1]) == _tableau_route(shared, evens[:2], odds[:1])
+    with pytest.raises(ValueError):
+        specialize_character(shared, evens[:3], odds[:1])
 
 
 def test_specialize_weight_needs_matching_rank():

@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from superbott.partitions import Partition, partitions_of, subpartitions
 from superbott.superschur import (
     SuperDim,
     SuperWeight,
+    _fraction_det,
     _lr_pairs,
     classical_rational_weight,
     composite_det_specialized,
@@ -220,6 +223,42 @@ def test_rational_schur_dim_matches_determinant_property(inputs):
     lam, mu, d = inputs
     ones = ([1] * d.m, [1] * d.n)
     assert rational_schur_char(lam, mu, d).total_dim() == composite_det_specialized(lam, mu, d, ones)
+
+
+def _leibniz(mat):
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(mat))):
+        term = Fraction(1)
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total += -term if inversions % 2 else term
+    return total
+
+
+def test_fraction_det_matches_leibniz():
+    # composite_det_specialized and the Jacobi-Trudi oracle both call
+    # _fraction_det, so their agreement alone cannot catch a determinant bug
+    assert _fraction_det([]) == 1
+    assert _fraction_det([[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]) == -6
+    rng = random.Random(13)
+    singular = 0
+    for trial in range(400):
+        n = trial % 6
+        if trial % 2:
+            entries = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 10**12 + 39))) for _ in range(n * n)]
+        else:
+            # small entries make zero pivots after elimination likely
+            entries = [Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(n * n)]
+        mat = [entries[i * n : (i + 1) * n] for i in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            mat[0][0] = Fraction(0)
+        if n >= 2 and trial % 5 == 0:
+            mat[-1] = [Fraction(-3, 4) * x for x in mat[0]]
+        expected = _leibniz(mat)
+        singular += expected == 0
+        assert _fraction_det(mat) == expected, mat
+    assert singular > 20
 
 
 def test_composite_det_singular_point():
