@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .errors import SuperbottError
 from .partitions import (
@@ -309,7 +309,7 @@ class VirtualCharacter:
         )
 
     def total_dim(self) -> int:
-        return sum(c * weyl_dim(w0) * weyl_dim(w1) for (w0, w1), c in self.terms.items())
+        return _total_dim((self,))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -340,6 +340,26 @@ class VirtualCharacter:
         for entry in obj:
             out.add_term((tuple(entry["w0"]), tuple(entry["w1"])), int(entry["mult"]))
         return out
+
+
+def _total_dim(chars: Iterable[VirtualCharacter]) -> int:
+    """Sum of mult * dim(w0) * dim(w1) over every term of chars.
+
+    Terms share few distinct weights, so each weight's ``weyl_dim`` is
+    computed once per call.
+    """
+    dims: Dict[GLWeight, int] = {}
+    total = 0
+    for char in chars:
+        for (w0, w1), c in char.terms.items():
+            d0 = dims.get(w0)
+            if d0 is None:
+                d0 = dims[w0] = weyl_dim(w0)
+            d1 = dims.get(w1)
+            if d1 is None:
+                d1 = dims[w1] = weyl_dim(w1)
+            total += c * d0 * d1
+    return total
 
 
 def external_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharacter:
@@ -392,7 +412,7 @@ class GradedCharacter:
         return sorted(self.by_degree)
 
     def total_dim(self) -> int:
-        return sum(vc.total_dim() for vc in self.by_degree.values())
+        return _total_dim(self.by_degree.values())
 
     def euler_characteristic(self) -> VirtualCharacter:
         out = VirtualCharacter(self.m, self.n)

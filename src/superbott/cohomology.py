@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import ClassVar, Dict, List, Tuple
+from typing import Callable, ClassVar, Dict, List, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
 from .characters import (
@@ -31,7 +31,7 @@ from .characters import (
 from .errors import HypothesisError, TermLimitError
 from .partitions import Partition, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
-from .superschur import SuperDim, rational_schur_char, super_schur_decompose
+from .superschur import SuperDim, _super_schur_terms, rational_schur_char
 
 DEFAULT_MAX_TERMS = 10**7
 _MAX_TERMS_ENV = "SUPERBOTT_MAX_TERMS"
@@ -178,15 +178,31 @@ def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
     return tuple(entry_mask(v) for v, _ in blocks), blocks
 
 
-def _survives(upper_masks: Tuple[int, ...], lower_masks: Tuple[int, ...]) -> bool:
-    """Whether some pair of blocks shares no entry, so Bott does not vanish."""
-    # loop over the shorter side, scan the longer one at C speed
-    if len(lower_masks) > len(upper_masks):
-        upper_masks, lower_masks = lower_masks, upper_masks
-    for mask in lower_masks:
-        if 0 in map(mask.__and__, upper_masks):
-            return True
-    return False
+def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
+    """Which sides of a row hold a block that shares no entry with a given mask.
+
+    ``row`` is one term's block sides, one per shape position.  The result
+    maps an entry mask to the bit set of the positions whose side holds a
+    block disjoint from it; each mask asked for is answered once per row.
+    """
+    positions: Dict[int, int] = {}
+    for i, (masks, _) in enumerate(row):
+        for mask in masks:
+            positions[mask] = positions.get(mask, 0) | 1 << i
+    table = tuple(positions.items())
+    seen: Dict[int, int] = {}
+
+    def reach(mask: int) -> int:
+        bits = seen.get(mask)
+        if bits is None:
+            bits = 0
+            for other, where in table:
+                if not other & mask:
+                    bits |= where
+            seen[mask] = bits
+        return bits
+
+    return reach
 
 
 def _levi_bott_pairs(upper: _BlockSide, lower: _BlockSide) -> List[Tuple[int, GLWeight, int]]:
@@ -229,65 +245,73 @@ def _nu_shapes(mq: int, q: int) -> _ShapeTable:
 def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GLWeight], int]]:
     """The first page as {(degree, exterior degree): {(w0, w1): mult}}.
 
-    Each (alpha-term, beta-term, lam, nu) gives an even (GL(m)) and an odd
-    (GL(n)) Levi weight, each a sum of pairs of rho-shifted blocks, one per
-    pair of rational_tensor terms.  A pair survives Bott exactly when its
-    blocks share no entry, which is one AND of their ``entry_mask``s.  Each
-    alpha-term and each beta-term holds one row of blocks per side, one per
-    shape position; a weight shared by two terms reads its second row from
-    ``_block_side``'s memo.  A term whose even pairs all vanish is dropped
-    before its odd pairs are tested, and ``levi_bott`` computes degrees and
-    weights only when both sides survive.  Every multiplicity is a product
-    of positive super-Schur, LR and Bott multiplicities, so no term cancels
-    and no block of the result is zero.
+    Each (alpha-term, beta-term, lam, nu) cell gives an even (GL(m)) and an
+    odd (GL(n)) Levi weight, each a sum of pairs of rho-shifted blocks, one
+    per pair of rational_tensor terms.  A pair survives Bott exactly when
+    its blocks share no entry, which is one AND of their ``entry_mask``s.
+    Each alpha-term holds a row of even upper sides, one per nu, and each
+    beta-term a row of odd lower sides, one per nu; a weight shared by two
+    terms reads its row from ``_block_side``'s memo.  ``_reach`` turns each
+    such row into bit sets over the nu positions, so for one (alpha-term,
+    beta-term, lam) the cells whose even side survives are the OR of the
+    reach of every lower block mask, those whose odd side survives the OR of
+    the reach of every upper block mask, and the loop walks the set bits of
+    both in ascending nu.  ``levi_bott`` computes degrees and weights only
+    on those cells.  Every multiplicity is a product of positive super-Schur,
+    LR and Bott multiplicities, so no term cancels and no block of the
+    result is zero.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
 
     page: Dict[Tuple[int, int], Dict[Tuple[GLWeight, GLWeight], int]] = {}
-    alpha_terms = super_schur_decompose(spec.alpha, SuperDim(mq, nq))
-    beta_terms = super_schur_decompose(spec.beta, SuperDim(p, q))
-    if alpha_terms.is_zero() or beta_terms.is_zero():
+    alpha_terms = _super_schur_terms(spec.alpha, mq, nq)
+    beta_terms = _super_schur_terms(spec.beta, p, q)
+    if not alpha_terms or not beta_terms:
         return page
 
     # a rows x cols box holds comb(rows + cols, rows) partitions, so the
     # budget is checked before any shape table is built
     budget = _max_terms()
-    count = len(alpha_terms.terms) * len(beta_terms.terms) * comb(p + nq, p) * comb(mq + q, q)
+    count = len(alpha_terms) * len(beta_terms) * comb(p + nq, p) * comb(mq + q, q)
     if count > budget:
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
     lams = _lam_shapes(p, nq)
     nus = _nu_shapes(mq, q)
-    alphas = [
-        (
-            ca,
-            [_block_side(a0, nu_even, p) for _, nu_even, _ in nus],
-            [_block_side(a1, lam_odd, q) for _, _, lam_odd in lams],
-        )
-        for (a0, a1), ca in alpha_terms.items()
-    ]
-    betas = [
-        (
-            cb,
-            [_block_side(b0, lam_even, 0) for _, lam_even, _ in lams],
-            [_block_side(b1, nu_odd, 0) for _, _, nu_odd in nus],
-        )
-        for b0, b1, cb in [(dual_weight(w0), dual_weight(w1), c) for (w0, w1), c in beta_terms.items()]
-    ]
+    alphas = []
+    for (a0, a1), ca in alpha_terms:
+        eu_row = [_block_side(a0, nu_even, p) for _, nu_even, _ in nus]
+        ou_row = [_block_side(a1, lam_odd, q) for _, _, lam_odd in lams]
+        alphas.append((ca, eu_row, _reach(eu_row), ou_row))
+    betas = []
+    for (w0, w1), cb in beta_terms:
+        b0, b1 = dual_weight(w0), dual_weight(w1)
+        el_row = [_block_side(b0, lam_even, 0) for _, lam_even, _ in lams]
+        ol_row = [_block_side(b1, nu_odd, 0) for _, _, nu_odd in nus]
+        betas.append((cb, el_row, ol_row, _reach(ol_row)))
 
-    for ca, eu_row, ou_row in alphas:
-        for cb, el_row, ol_row in betas:
+    for ca, eu_row, eu_reach, ou_row in alphas:
+        for cb, el_row, ol_row, ol_reach in betas:
             mult = ca * cb
             for (lam_size, _, _), even_lower_side, odd_upper_side in zip(lams, el_row, ou_row):
-                for (nu_size, _, _), even_upper_side, odd_lower_side in zip(nus, eu_row, ol_row):
-                    # upper is the quotient block, lower the sub block
-                    if not _survives(even_upper_side[0], even_lower_side[0]):
-                        continue
-                    if not _survives(odd_upper_side[0], odd_lower_side[0]):
-                        continue
-                    ext_deg = lam_size + nu_size
-                    odd_parts = _levi_bott_pairs(odd_upper_side, odd_lower_side)
-                    for d0, w0, c0 in _levi_bott_pairs(even_upper_side, even_lower_side):
+                # upper is the quotient block, lower the sub block; bit j
+                # stands for the cell of nus[j], walked in ascending j
+                cells = 0
+                for mask in even_lower_side[0]:
+                    cells |= eu_reach(mask)
+                if not cells:
+                    continue
+                odd = 0
+                for mask in odd_upper_side[0]:
+                    odd |= ol_reach(mask)
+                cells &= odd
+                while cells:
+                    low = cells & -cells
+                    cells ^= low
+                    j = low.bit_length() - 1
+                    ext_deg = lam_size + nus[j][0]
+                    odd_parts = _levi_bott_pairs(odd_upper_side, ol_row[j])
+                    for d0, w0, c0 in _levi_bott_pairs(eu_row[j], even_lower_side):
                         c0 *= mult
                         for d1, w1, c1 in odd_parts:
                             terms = page.get((d0 + d1, ext_deg))

@@ -124,16 +124,39 @@ def _kostka(shape: Tuple[int, ...], content: Tuple[int, ...]) -> int:
     return sum(_kostka(inner, rest) for inner in _strips_removed(shape, content[-1]))
 
 
+def _fitting(trie: dict, kappa: Tuple[int, ...]) -> list:
+    """(c, kappa - e) for every monomial c x^e of the trie with e <= kappa entrywise.
+
+    The trie has one level of dicts per exponent, with ascending keys at
+    every level, so each level stops at the first exponent past kappa's.
+    """
+    level = [(trie, ())]
+    for k in kappa:
+        nxt = []
+        for node, rest in level:
+            for x, child in node.items():
+                if x > k:
+                    break
+                nxt.append((child, rest + (k - x,)))
+        level = nxt
+    return level
+
+
 @lru_cache(maxsize=16)
 def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
     nvars = max(1, lam.length + mu.length)
-    mono_lam, mono_mu = _monomials(lam, nvars), _monomials(mu, nvars)
+    mono_mu = _monomials(mu, nvars)
+    # inserted in lex order, so the keys of every level ascend
+    trie: dict = {}
+    for e, c in sorted(_monomials(lam, nvars).items()):
+        node = trie
+        for x in e[:-1]:
+            node = node.setdefault(x, {})
+        node[e[-1]] = c
     out = []
     for kappa in partitions_of(lam.size + mu.size, max_length=nvars):
         padded = kappa + (0,) * (nvars - kappa.length)
-        coeff = 0
-        for e, c in mono_lam.items():
-            coeff += c * mono_mu.get(tuple(a - b for a, b in zip(padded, e)), 0)
+        coeff = sum(c * mono_mu.get(rest, 0) for c, rest in _fitting(trie, padded))
         coeff -= sum(c * _kostka(rho, kappa) for rho, c in out)
         if coeff:
             out.append((kappa, coeff))
@@ -144,7 +167,8 @@ def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
     """Expand s_lam * s_mu into Schur polynomials by Kostka triangularity.
 
     The coefficient of x^kappa in the product is the sum over the
-    monomials x^e of s_lam of that of x^(kappa - e) in s_mu; it equals
+    monomials x^e of s_lam with e <= kappa entrywise of that of
+    x^(kappa - e) in s_mu, and only those e are visited; it equals
     sum_nu c_nu K(nu, kappa), where K(nu, kappa) is zero unless nu
     dominates kappa.  Peeling the dominant kappa in lex-decreasing order
     therefore leaves c_kappa.  No LR rule is used.  The last few expansions

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable
+from functools import lru_cache
+from typing import Dict, Iterable, Tuple
 
 from .errors import PreconditionError
 
@@ -124,16 +125,26 @@ def q_factorial(i: int) -> HilbertSeries:
     return out
 
 
+@lru_cache(maxsize=256)
+def _flag_poincare_coeffs(dvec: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
+    """(degree, coefficient) pairs of flag_poincare(dvec), memoized by block tuple."""
+    out = q_factorial(sum(dvec))
+    for d in dvec:
+        out = out.exact_div(q_factorial(d))
+    return tuple(out.coeffs.items())
+
+
 def flag_poincare(dvec: Iterable[int]) -> HilbertSeries:
-    """Poincare polynomial of the partial flag variety with block sizes dvec."""
+    """Poincare polynomial of the partial flag variety with block sizes dvec.
+
+    The coefficients depend on the block sizes alone, so they are memoized
+    across calls, for the 256 most recently used tuples; each call returns
+    a fresh series.
+    """
     dvec = tuple(int(d) for d in dvec)
     if any(d < 0 for d in dvec):
         raise ValueError("block sizes must be nonnegative")
-    n = sum(dvec)
-    out = q_factorial(n)
-    for d in dvec:
-        out = out.exact_div(q_factorial(d))
-    return out
+    return HilbertSeries(dict(_flag_poincare_coeffs(dvec)))
 
 
 def fact_ring_rank(dvec: Iterable[int]) -> int:

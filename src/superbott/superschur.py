@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
@@ -42,23 +43,37 @@ class SuperWeight(NamedTuple):
     odd: GLWeight
 
 
+# Terms of a restricted super Schur functor: ((w0, w1), multiplicity) pairs.
+_SuperTerms = Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]
+
+
+@lru_cache(maxsize=1024)
+def _super_schur_terms(lam: Partition, m: int, n: int) -> _SuperTerms:
+    """The terms of ``super_schur_decompose(lam, SuperDim(m, n))``, as a tuple.
+
+    The restriction depends on (lam, m, n) alone, so it is memoized across
+    calls, for the 1024 most recently used keys; the first page reads this
+    tuple directly, and no caller can change it.
+    """
+    lam_t = lam.transpose()
+    # each mu, and each nu of one skew expansion, occurs once: no key repeats
+    return tuple(
+        ((pad_weight(mu, m), pad_weight(nu, n)), c)
+        for mu in subpartitions(lam)
+        if mu.length <= m
+        for nu, c in _lr_count(lam_t, mu.transpose())
+        if nu.length <= n
+    )
+
+
 def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
     """Restrict S_lam(V0|V1) to GL(V0) x GL(V1).
 
     The sum runs over mu inside lam with at most m rows; the companion odd
-    factor is the skew transpose shape, truncated to at most n rows.
+    factor is the skew transpose shape, truncated to at most n rows.  Each
+    call returns a fresh character over ``_super_schur_terms``.
     """
-    lam = Partition(lam)
-    lam_t = lam.transpose()
-    # each mu, and each nu of one skew expansion, occurs once: no key repeats
-    terms = {
-        (pad_weight(mu, d.m), pad_weight(nu, d.n)): c
-        for mu in subpartitions(lam)
-        if mu.length <= d.m
-        for nu, c in _lr_count(lam_t, mu.transpose())
-        if nu.length <= d.n
-    }
-    return VirtualCharacter._trusted(d.m, d.n, terms)
+    return VirtualCharacter._trusted(d.m, d.n, dict(_super_schur_terms(Partition(lam), d.m, d.n)))
 
 
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:

@@ -9,6 +9,7 @@ import superbott
 from superbott.characters import rational_tensor, skew_expand
 from superbott.oracle import schur_monomials
 from superbott.partitions import Partition, SkewShape
+from superbott.qseries import flag_poincare
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 
 
@@ -26,6 +27,8 @@ def test_every_functools_cache_is_bounded():
         "cohomology._nu_shapes",
         "oracle._kostka",
         "oracle.schur_monomials",
+        "qseries._flag_poincare_coeffs",
+        "superschur._super_schur_terms",
     } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []
 
@@ -58,3 +61,8 @@ def test_memoized_results_are_not_aliased():
         assert expected
         first.terms.clear()
         assert char().terms == expected
+
+    first = flag_poincare((2, 1))
+    assert first.coeffs == {0: 1, 2: 1, 4: 1}
+    first.coeffs.clear()
+    assert flag_poincare((2, 1)).coeffs == {0: 1, 2: 1, 4: 1}

@@ -1,11 +1,15 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import superbott
 from superbott.cli import run
 from superbott.cohomology import (
     BundleSpec,
@@ -172,6 +176,47 @@ def test_e1_page_matches_blockwise_reference():
     spec = bundle(2, 1, 5, 2, alpha=(2, 1), beta=(1,))
     assert e1_page(spec) == reference_e1_page(spec)
     assert all(cases.values()), cases
+    # 70 nu shapes: cells past bit 63 of the first page's reach bit sets
+    spec = bundle(1, 4, 5, 5, alpha=(1,), beta=(1,))
+    assert len(_nu_shapes(4, 4)) == 70
+    assert e1_page(spec) == reference_e1_page(spec)
+
+
+COUNT_LEVI_BOTT = """
+import json
+from superbott import cohomology
+from superbott.superschur import SuperDim
+calls = 0
+levi_bott = cohomology.levi_bott
+def counted(*args):
+    global calls
+    calls += 1
+    return levi_bott(*args)
+cohomology.levi_bott = counted
+counts = []
+for p, q, m, n in ((2, 1, 9, 4), (3, 2, 12, 6)):
+    calls = 0
+    cohomology.e1_page(cohomology.BundleSpec(p, q, SuperDim(m, n), (2, 1), (1,)))
+    counts.append(calls)
+print(json.dumps(counts))
+"""
+
+
+def test_levi_bott_runs_on_every_surviving_cell_and_no_other():
+    # levi_bott runs on each surviving block pair of each cell the page
+    # visits, so skipping a cell that survives on both sides, or visiting
+    # one that survives on one side only, moves these counts on two rungs
+    # of the benchmark ladder
+    src = str(Path(superbott.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_LEVI_BOTT],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [281, 1449]
 
 
 def test_e1_bigraded_totals_match():
