@@ -144,9 +144,9 @@ def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int]
     right to left) with free content: rows weakly increase, columns strictly
     increase, and the reading word is a lattice word (each label i+1 is
     preceded by more i's than i+1's).  Inner must lie inside outer.  Callers:
-    ``skew_expand``, ``lr_coefficient`` and superschur's ``_lr_pairs``,
-    ``super_schur_decompose`` and ``_skew_super_char``; perfbench's layer
-    trace reads this function and its cache by this name.
+    ``skew_expand``, ``lr_coefficient`` and superschur's ``_lr_pairs`` and
+    ``_skew_super_char``; perfbench's layer trace reads this function and
+    its cache by this name.
     """
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     grid = [[0] * outer[r] for r in range(outer.length)]

@@ -161,9 +161,9 @@ def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
     raise HypothesisError(spec.hypothesis_message)
 
 
-# One Levi block side of rational_tensor(a, b): the entry_mask of each
-# rho-shifted block, and the blocks with their multiplicities.
-_BlockSide = Tuple[Tuple[int, ...], Tuple[Tuple[GLWeight, int], ...]]
+# One Levi block side of rational_tensor(a, b): (entry_mask, rho-shifted
+# block, multiplicity) for each term.
+_BlockSide = Tuple[Tuple[int, GLWeight, int], ...]
 
 
 @lru_cache(maxsize=1024)
@@ -174,8 +174,8 @@ def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
     calls, for the 1024 most recently used keys; it is a tuple of tuples,
     which no caller can change.
     """
-    blocks = tuple((rho_shift(w, offset), c) for w, c in rational_tensor(a, b).items())
-    return tuple(entry_mask(v) for v, _ in blocks), blocks
+    shifted = ((rho_shift(w, offset), c) for w, c in rational_tensor(a, b).items())
+    return tuple((entry_mask(v), v, c) for v, c in shifted)
 
 
 def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
@@ -186,8 +186,8 @@ def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
     block disjoint from it; each mask asked for is answered once per row.
     """
     positions: Dict[int, int] = {}
-    for i, (masks, _) in enumerate(row):
-        for mask in masks:
+    for i, side in enumerate(row):
+        for mask, _, _ in side:
             positions[mask] = positions.get(mask, 0) | 1 << i
     table = tuple(positions.items())
     seen: Dict[int, int] = {}
@@ -207,38 +207,24 @@ def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
 
 def _levi_bott_pairs(upper: _BlockSide, lower: _BlockSide) -> List[Tuple[int, GLWeight, int]]:
     """(degree, weight, multiplicity) of levi_bott on each surviving pair."""
-    lower_terms = list(zip(*lower))
     out = []
-    for um, (u, c1) in zip(*upper):
-        for lm, (l, c2) in lower_terms:
+    for um, u, c1 in upper:
+        for lm, l, c2 in lower:
             if not um & lm:
                 degree, w = levi_bott(u, um, l, lm)
                 out.append((degree, w, c1 * c2))
     return out
 
 
-# Exterior-algebra shapes, as (size, even weight, odd weight): lam pairs the
-# sub bundle on the even side with the dual quotient on the odd side, nu the
-# other way around.  Each table depends on its box alone, so it is memoized
-# across calls; with m, n <= 7 there are at most 64 boxes.
-_ShapeTable = Tuple[Tuple[int, GLWeight, GLWeight], ...]
-
-
+# The exterior-algebra shapes of one box.  Each table depends on its box
+# alone, so it is memoized across calls; with m, n <= 7 there are at most
+# 64 boxes.
 @lru_cache(maxsize=64)
-def _lam_shapes(p: int, nq: int) -> _ShapeTable:
-    """Every lam in the p x (n - q) box."""
+def _box_shapes(rows: int, cols: int) -> Tuple[Tuple[int, GLWeight, GLWeight], ...]:
+    """(size, sigma padded to rows, sigma^T padded to cols) for each sigma in the box."""
     return tuple(
-        (lam.size, pad_weight(lam, p), dual_weight(pad_weight(lam.transpose(), nq)))
-        for lam in partitions_in_box(p, nq)
-    )
-
-
-@lru_cache(maxsize=64)
-def _nu_shapes(mq: int, q: int) -> _ShapeTable:
-    """Every nu in the (m - p) x q box."""
-    return tuple(
-        (nu.size, dual_weight(pad_weight(nu, mq)), pad_weight(nu.transpose(), q))
-        for nu in partitions_in_box(mq, q)
+        (sigma.size, pad_weight(sigma, rows), pad_weight(sigma.transpose(), cols))
+        for sigma in partitions_in_box(rows, cols)
     )
 
 
@@ -276,12 +262,16 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
     count = len(alpha_terms) * len(beta_terms) * comb(p + nq, p) * comb(mq + q, q)
     if count > budget:
         raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
-    lams = _lam_shapes(p, nq)
-    nus = _nu_shapes(mq, q)
+    # lam in the p x (n - q) box pairs the sub bundle on the even side with
+    # the dual quotient on the odd side, nu in the (m - p) x q box the reverse
+    lams = _box_shapes(p, nq)
+    nus = _box_shapes(mq, q)
+    lam_odds = [dual_weight(w) for _, _, w in lams]
+    nu_evens = [dual_weight(w) for _, w, _ in nus]
     alphas = []
     for (a0, a1), ca in alpha_terms:
-        eu_row = [_block_side(a0, nu_even, p) for _, nu_even, _ in nus]
-        ou_row = [_block_side(a1, lam_odd, q) for _, _, lam_odd in lams]
+        eu_row = [_block_side(a0, nu_even, p) for nu_even in nu_evens]
+        ou_row = [_block_side(a1, lam_odd, q) for lam_odd in lam_odds]
         alphas.append((ca, eu_row, _reach(eu_row), ou_row))
     betas = []
     for (w0, w1), cb in beta_terms:
@@ -297,12 +287,12 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
                 # upper is the quotient block, lower the sub block; bit j
                 # stands for the cell of nus[j], walked in ascending j
                 cells = 0
-                for mask in even_lower_side[0]:
+                for mask, _, _ in even_lower_side:
                     cells |= eu_reach(mask)
                 if not cells:
                     continue
                 odd = 0
-                for mask in odd_upper_side[0]:
+                for mask, _, _ in odd_upper_side:
                     odd |= ol_reach(mask)
                 cells &= odd
                 while cells:

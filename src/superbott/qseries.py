@@ -127,9 +127,15 @@ def q_factorial(i: int) -> HilbertSeries:
 
 @lru_cache(maxsize=256)
 def _flag_poincare_coeffs(dvec: Tuple[int, ...]) -> Tuple[Tuple[int, int], ...]:
-    """(degree, coefficient) pairs of flag_poincare(dvec), memoized by block tuple."""
-    out = q_factorial(sum(dvec))
-    for d in dvec:
+    """(degree, coefficient) pairs of flag_poincare(dvec), memoized by block tuple.
+
+    Only [n]! / [d_max]! = [d_max + 1] ... [n] is multiplied out.
+    """
+    *rest, top = sorted(dvec) or [0]
+    out = HilbertSeries.one()
+    for j in range(top + 1, sum(dvec) + 1):
+        out = out * q_int(j)
+    for d in rest:
         out = out.exact_div(q_factorial(d))
     return tuple(out.coeffs.items())
 

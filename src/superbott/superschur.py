@@ -55,23 +55,22 @@ def _super_schur_terms(lam: Partition, m: int, n: int) -> _SuperTerms:
     calls, for the 1024 most recently used keys; the first page reads this
     tuple directly, and no caller can change it.
     """
-    lam_t = lam.transpose()
-    # each mu, and each nu of one skew expansion, occurs once: no key repeats
+    # each alpha, and each delta of one skew expansion, occurs once: no key repeats
     return tuple(
-        ((pad_weight(mu, m), pad_weight(nu, n)), c)
-        for mu in subpartitions(lam)
-        if mu.length <= m
-        for nu, c in _lr_count(lam_t, mu.transpose())
-        if nu.length <= n
+        ((pad_weight(alpha, m), pad_weight(delta, n)), c)
+        for delta, alpha, c in _lr_pairs(lam)
+        if alpha.length <= m and delta.length <= n
     )
 
 
 def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
     """Restrict S_lam(V0|V1) to GL(V0) x GL(V1).
 
-    The sum runs over mu inside lam with at most m rows; the companion odd
-    factor is the skew transpose shape, truncated to at most n rows.  Each
-    call returns a fresh character over ``_super_schur_terms``.
+    The sum runs over alpha inside lam with at most m rows; the companion
+    odd factor is s_{(lam/alpha)^T} = sum_delta c^lam_{alpha, delta^T} s_delta
+    (Macdonald I.5), truncated to at most n rows and read from ``_lr_pairs``
+    as the closed form reads it.  Each call returns a fresh character over
+    ``_super_schur_terms``.
     """
     return VirtualCharacter._trusted(d.m, d.n, dict(_super_schur_terms(Partition(lam), d.m, d.n)))
 

@@ -23,8 +23,7 @@ def test_every_functools_cache_is_bounded():
     assert {
         "characters._lr_count",
         "cohomology._block_side",
-        "cohomology._lam_shapes",
-        "cohomology._nu_shapes",
+        "cohomology._box_shapes",
         "oracle._kostka",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",

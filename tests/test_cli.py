@@ -117,6 +117,12 @@ def test_hilbert_grass_table(capsys):
     assert out.strip() == "1 + t^2 + t^4"
 
 
+def test_hilbert_grass_large_rank(capsys):
+    code, out, _ = capture(capsys, ["hilbert-grass", "1", "200"])
+    assert code == 0
+    assert out.strip() == " + ".join(["1"] + [f"t^{2 * k}" for k in range(1, 200)])
+
+
 def test_hilbert_grass_bad_range_exit_1(capsys):
     code, _, err = capture(capsys, ["hilbert-grass", "3", "2"])
     assert code == 1
@@ -212,9 +218,9 @@ def test_readme_examples_cover_every_subcommand():
     assert shown == set(subparsers.choices)
 
 
-# sha256 of the stdout of `superbott --output json e1` on two rungs of the
-# benchmark ladder, taken before the first page's Bott loop was reordered:
-# the page's JSON must stay byte-identical.
+# sha256 of the stdout of `superbott --output json e1` on the four rungs of
+# the benchmark ladder, the first two taken before the first page's Bott
+# loop was reordered: the page's JSON must stay byte-identical.
 E1_LADDER_PINS = [
     (
         ["--grass", "2,1", "--dim", "9,4", "--alpha", "[2,1]", "--beta", "[1]"],
@@ -223,6 +229,14 @@ E1_LADDER_PINS = [
     (
         ["--grass", "3,2", "--dim", "12,6", "--alpha", "[2,1]", "--beta", "[1]"],
         "c29ee97dd8ac013b48244e1ea01d8cfbd4dd74f18e10a14a86378fcd32f07567",
+    ),
+    (
+        ["--grass", "2,4", "--dim", "6,14", "--alpha", "[2,1]", "--beta", "[1]"],
+        "fd26226d0017056fdd87cf9b5b1aacb9cadb4bcdc855b489b3e74de404de264f",
+    ),
+    (
+        ["--grass", "4,2", "--dim", "14,6", "--alpha", "[2,2]", "--beta", "[1,1]"],
+        "3eb7bbc916a45fc9aee8a613b90e782ab38337bb672f0fc82428c1a0439e41d5",
     ),
 ]
 

@@ -15,8 +15,7 @@ from superbott.cohomology import (
     BundleSpec,
     FlagSpec,
     HypothesisCase,
-    _lam_shapes,
-    _nu_shapes,
+    _box_shapes,
     e1_bigraded,
     e1_page,
     hypothesis_case,
@@ -178,7 +177,7 @@ def test_e1_page_matches_blockwise_reference():
     assert all(cases.values()), cases
     # 70 nu shapes: cells past bit 63 of the first page's reach bit sets
     spec = bundle(1, 4, 5, 5, alpha=(1,), beta=(1,))
-    assert len(_nu_shapes(4, 4)) == 70
+    assert len(_box_shapes(4, 4)) == 70
     assert e1_page(spec) == reference_e1_page(spec)
 
 
@@ -245,11 +244,11 @@ def test_e1_bigraded_totals_match():
 
 def test_e1_term_budget(monkeypatch):
     monkeypatch.setenv("SUPERBOTT_MAX_TERMS", "1")
-    before = _lam_shapes.cache_info(), _nu_shapes.cache_info()
+    before = _box_shapes.cache_info()
     with pytest.raises(TermLimitError, match="expansion of 12 terms exceeds budget 1"):
         e1_page(bundle(1, 1, 3, 2, alpha=(2,)))
     # the count comes from the box sizes, before any shape table is built
-    assert (_lam_shapes.cache_info(), _nu_shapes.cache_info()) == before
+    assert _box_shapes.cache_info() == before
 
 
 @pytest.mark.parametrize("raw", ["abc", "-5", "0", "2.5"])

@@ -77,6 +77,16 @@ def test_flag_poincare_factors_through_grassmannians():
                 assert product == flag_poincare(blocks), chain
 
 
+def test_flag_poincare_large_ranks():
+    # only the product past the largest block is multiplied out, so a rank
+    # in the hundreds takes milliseconds
+    assert flag_poincare((1, 299)) == q_int(300)
+    assert flag_poincare((10, 90)).eval(1) == fact_ring_rank((10, 90))
+    assert flag_poincare(()) == HilbertSeries.one()
+    assert flag_poincare((0, 0)) == HilbertSeries.one()
+    assert flag_poincare((5,)) == HilbertSeries.one()
+
+
 def test_fact_ring_rank():
     assert fact_ring_rank((2, 2)) == 6
     assert fact_ring_rank((1, 1, 1)) == 6

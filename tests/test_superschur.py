@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbott.characters import pad_weight, schur_product, weyl_dim
+from superbott.characters import _lr_count, pad_weight, schur_product, weyl_dim
 from superbott.errors import PreconditionError
 from superbott.oracle import specialize_character, specialize_weight
 from superbott.partitions import Partition, partitions_of, subpartitions
@@ -17,6 +17,7 @@ from superbott.superschur import (
     SuperWeight,
     _fraction_det,
     _lr_pairs,
+    _super_schur_terms,
     classical_rational_weight,
     composite_det_specialized,
     composite_euler_char,
@@ -69,8 +70,8 @@ def test_super_schur_dims_match_super_h():
 
 
 def test_super_schur_is_rational_schur_with_empty_mu():
-    # S_lam(C^{m|n}) = S_(lam; empty): the two routes read different skew
-    # keys of _lr_count, (lam^T, mu^T) for one and (lam, alpha) for the other
+    # S_lam(C^{m|n}) = S_(lam; empty): both routes read the skew expansions
+    # of _lr_pairs(lam); the determinant test below shares no LR code with them
     cases = 0
     for size in range(7):
         for lam in partitions_of(size):
@@ -80,6 +81,37 @@ def test_super_schur_is_rational_schur_with_empty_mu():
                     assert super_schur_decompose(lam, d) == rational_schur_char(lam, (), d), (lam, d)
                     cases += 1
     assert cases == 810
+
+
+def test_super_schur_matches_super_jacobi_trudi():
+    # s_lam(x / y) = det h_{lam_i - i + j}(x / y) (Berele-Regev 1987): the
+    # determinant reads one h table of the points and no LR coefficient
+    evens = [Fraction(2), Fraction(-3, 2), Fraction(5)]
+    odds = [Fraction(-7, 3), Fraction(1, 2), Fraction(4, 5)]
+    cases = 0
+    for size in range(6):
+        for lam in partitions_of(size):
+            for m, n in itertools.product(range(4), repeat=2):
+                d, xs, ys = SuperDim(m, n), evens[:m], odds[:n]
+                got = specialize_character(super_schur_decompose(lam, d), xs, ys)
+                assert got == composite_det_specialized(lam, (), d, (xs, ys)), (lam, d)
+                cases += 1
+    assert cases == 304
+
+
+def test_super_schur_and_rational_schur_share_lr_keys():
+    # the restriction reads c^lam_{alpha, delta^T} in the closed form's
+    # orientation, so after rational_schur_char(lam; empty) it counts no
+    # new LR tableaux; lam is not self-conjugate, so a transposed reading
+    # would miss
+    d = SuperDim(3, 2)
+    for lam in (Partition((3, 1)), Partition((4, 2, 1))):
+        _lr_count.cache_clear()
+        _super_schur_terms.cache_clear()
+        rational_schur_char(lam, (), d)
+        misses = _lr_count.cache_info().misses
+        super_schur_decompose(lam, d)
+        assert _lr_count.cache_info().misses == misses, lam
 
 
 def test_super_schur_degree_additive_dims():
