@@ -187,29 +187,47 @@ def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
 
 @lru_cache(maxsize=4096)
 def _rational_tensor_cached(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int], ...]:
-    m = len(a)
-    if m == 0:
+    """Terms of ``rational_tensor(a, b)``, memoized by the raw weights.
+
+    On a miss each weight is shifted by its last entry to end in 0, the
+    product of the shifted pair is read from ``_polynomial_product`` and
+    shifted back.  perfbench's layer trace reads this memo by this name.
+    """
+    if not a:
         return (((), 1),)
-    ka = max(0, -a[-1])
-    kb = max(0, -b[-1])
-    la = Partition(x + ka for x in a)
-    lb = Partition(x + kb for x in b)
-    shift = ka + kb
-    if lb.size > la.size:
-        # c^nu_{la, lb} = c^nu_{lb, la}, and the search grows with the content
-        la, lb = lb, la
-    out = []
-    for nu, c in schur_product(la, lb, m).items():
-        out.append((tuple(nu.part(i) - shift for i in range(m)), c))
-    return tuple(out)
+    s, t = a[-1], b[-1]
+    a0 = tuple(x - s for x in a)
+    b0 = tuple(x - t for x in b)
+    # one entry per unordered pair; the search grows with the content,
+    # so the smaller shape goes second
+    if (sum(b0), b0) > (sum(a0), a0):
+        a0, b0 = b0, a0
+    poly = _polynomial_product(a0, b0)
+    if not s + t:
+        return poly
+    return tuple((tuple(x + s + t for x in w), c) for w, c in poly)
+
+
+@lru_cache(maxsize=4096)
+def _polynomial_product(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int], ...]:
+    """Terms of ``rational_tensor(a, b)`` for two weights that end in 0,
+    the first of them the larger: one LR product of the two shapes, cut to
+    rank len(a) and padded to it.
+    """
+    m = len(a)
+    product = schur_product(Partition(a), Partition(b), m)
+    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in product.items())
 
 
 def rational_tensor(a: GLWeight, b: GLWeight) -> Dict[GLWeight, int]:
     """Tensor product of two rational GL(m) irreps by highest weight.
 
-    Both weights are shifted by a multiple of (1,...,1) to land in the
-    polynomial range, multiplied there, and shifted back; the result does
-    not depend on the shift.
+    Each weight is shifted by its last entry to end in 0, a partition
+    padded to rank m; the two are multiplied there and the product is
+    shifted back by the sum of the two last entries, since V_a x V_b =
+    det^(s+t) x (V_(a-s) x V_(b-t)) (Fulton-Harris 15.5).  The polynomial
+    products are memoized per unordered pair of shifted weights, so pairs
+    that differ only by shifts share one LR product.
     """
     if len(a) != len(b):
         raise ValueError("rank mismatch")
@@ -288,13 +306,13 @@ class VirtualCharacter:
         return self + other.scale(-1)
 
     def __mul__(self, other: "VirtualCharacter") -> "VirtualCharacter":
-        """Tensor product, decomposed blockwise via rational_tensor."""
+        """Tensor product, decomposed blockwise by the memoized rational tensor products."""
         self._check(other)
         terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
         for (a0, a1), c1 in self.terms.items():
             for (b0, b1), c2 in other.terms.items():
-                odd = rational_tensor(a1, b1).items()
-                for w0, c3 in rational_tensor(a0, b0).items():
+                odd = _rational_tensor_cached(a1, b1)
+                for w0, c3 in _rational_tensor_cached(a0, b0):
                     c123 = c1 * c2 * c3
                     for w1, c4 in odd:
                         key = (w0, w1)

@@ -166,13 +166,14 @@ def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
 _BlockSide = Tuple[Tuple[int, GLWeight, int], ...]
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=4096)
 def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
     """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift).
 
     The result depends on (a, b, offset) alone, so it is memoized across
-    calls, for the 1024 most recently used keys; it is a tuple of tuples,
-    which no caller can change.
+    calls, for the 4096 most recently used keys (one pass of 3070 small
+    bundles asks for about 3100); it is a tuple of tuples, which no caller
+    can change.
     """
     shifted = ((rho_shift(w, offset), c) for w, c in rational_tensor(a, b).items())
     return tuple((entry_mask(v), v, c) for v, c in shifted)

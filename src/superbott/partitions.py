@@ -54,7 +54,11 @@ class Partition(tuple):
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse the bracket form, e.g. ``[3,1]`` or ``[]``."""
+        """Parse the bracket form, e.g. ``[3,1]`` or ``[]``.
+
+        Text that is not a bracketed list of integers is a syntax error; a
+        list that is not a partition raises the constructor's message.
+        """
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):
             raise ValueError(f"not a bracketed partition: {text!r}")
@@ -62,9 +66,10 @@ class Partition(tuple):
         if not body:
             return cls()
         try:
-            return cls(int(tok) for tok in body.split(","))
+            parts = [int(tok) for tok in body.split(",")]
         except ValueError as exc:
             raise ValueError(f"not a bracketed partition: {text!r}") from exc
+        return cls(parts)
 
 
 def _trusted(parts: Iterable[int]) -> Partition:

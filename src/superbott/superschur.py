@@ -43,8 +43,30 @@ class SuperWeight(NamedTuple):
     odd: GLWeight
 
 
+# Odd factors of one shape on GL(n): (alpha, ((delta padded to n, c), ...))
+# pairs with c = c^lam_{alpha, delta^T}, one per alpha.
+_OddFactors = Tuple[Tuple[Partition, Tuple[Tuple[GLWeight, int], ...]], ...]
+
 # Terms of a restricted super Schur functor: ((w0, w1), multiplicity) pairs.
 _SuperTerms = Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]
+
+
+@lru_cache(maxsize=1024)
+def _odd_factors(lam: Partition, n: int) -> _OddFactors:
+    """The odd factors X_alpha = sum_delta c^lam_{alpha, delta^T} s_delta of
+    lam on GL(n) (Macdonald I.5), one per alpha inside lam.
+
+    ``_lr_pairs(lam)`` grouped by alpha, in its order, with each delta of at
+    most n rows padded to a GL(n) weight; an alpha with no such delta is
+    left out.  The table depends on (lam, n) alone, so it is memoized for
+    the 1024 most recently used keys and shared by the super Schur
+    restriction and both sides of the closed form.
+    """
+    groups: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
+    for delta, alpha, c in _lr_pairs(lam):
+        if delta.length <= n:
+            groups.setdefault(alpha, []).append((pad_weight(delta, n), c))
+    return tuple((alpha, tuple(x)) for alpha, x in groups.items())
 
 
 @lru_cache(maxsize=1024)
@@ -56,11 +78,12 @@ def _super_schur_terms(lam: Partition, m: int, n: int) -> _SuperTerms:
     tuple directly, and no caller can change it.
     """
     # each alpha, and each delta of one skew expansion, occurs once: no key repeats
-    return tuple(
-        ((pad_weight(alpha, m), pad_weight(delta, n)), c)
-        for delta, alpha, c in _lr_pairs(lam)
-        if alpha.length <= m and delta.length <= n
-    )
+    terms = []
+    for alpha, x in _odd_factors(lam, n):
+        if alpha.length <= m:
+            w0 = pad_weight(alpha, m)
+            terms.extend(((w0, delta_w), c) for delta_w, c in x)
+    return tuple(terms)
 
 
 def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
@@ -68,9 +91,9 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
 
     The sum runs over alpha inside lam with at most m rows; the companion
     odd factor is s_{(lam/alpha)^T} = sum_delta c^lam_{alpha, delta^T} s_delta
-    (Macdonald I.5), truncated to at most n rows and read from ``_lr_pairs``
-    as the closed form reads it.  Each call returns a fresh character over
-    ``_super_schur_terms``.
+    (Macdonald I.5), truncated to at most n rows.  Both are read from
+    ``_odd_factors(lam, n)``, the table the closed form reads.  Each call
+    returns a fresh character over ``_super_schur_terms``.
     """
     return VirtualCharacter._trusted(d.m, d.n, dict(_super_schur_terms(Partition(lam), d.m, d.n)))
 
@@ -107,25 +130,28 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
     c^lam_{alpha, delta^T} s_delta and Y_beta = sum_gamma
     c^mu_{beta, gamma^T} s_gamma^*.  Every coefficient is positive, so no
     term cancels and each is written once.
+
+    X_alpha is read from ``_odd_factors(lam, n)`` as it is and Y_beta from
+    ``_odd_factors(mu, n)`` dualized, so the LR work of a shape is shared
+    by every call on it.  w0 depends on alpha only through alpha and its
+    length, so each beta builds its tail (0, ..., 0, -beta reversed) once
+    per length of alpha.
     """
     lam, mu = Partition(lam), Partition(mu)
     m, n = d.m, d.n
     if m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
-    xs: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
-    for delta, alpha, c in _lr_pairs(lam):
-        if delta.length <= n:
-            xs.setdefault(alpha, []).append((pad_weight(delta, n), c))
-    ys: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
-    for gamma, beta, c in _lr_pairs(mu):
-        if gamma.length <= n:
-            ys.setdefault(beta, []).append((dual_weight(pad_weight(gamma, n)), c))
+    xs = _odd_factors(lam, n)
+    lengths = {alpha.length for alpha, _ in xs}
     terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
-    for beta, y in ys.items():
-        for alpha, x in xs.items():
-            w0 = classical_rational_weight(alpha, beta, m)
-            if w0 is None:
+    for beta, gammas in _odd_factors(mu, n):
+        y = [(dual_weight(gamma_w), c) for gamma_w, c in gammas]
+        tails = {k: classical_rational_weight((), beta, m - k) for k in lengths}
+        for alpha, x in xs:
+            tail = tails[alpha.length]
+            if tail is None:
                 continue
+            w0 = alpha + tail
             odd: Dict[GLWeight, int] = {}
             for gamma_w, c2 in y:
                 for delta_w, c1 in x:

@@ -22,11 +22,14 @@ def test_every_functools_cache_is_bounded():
                 maxsizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
     assert {
         "characters._lr_count",
+        "characters._polynomial_product",
+        "characters._rational_tensor_cached",
         "cohomology._block_side",
         "cohomology._box_shapes",
         "oracle._kostka",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
+        "superschur._odd_factors",
         "superschur._super_schur_terms",
     } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from superbott.characters import (
     GradedCharacter,
     VirtualCharacter,
+    _polynomial_product,
+    _rational_tensor_cached,
     dual_weight,
     external_product,
     lr_coefficient,
@@ -138,6 +140,41 @@ def test_rational_tensor_is_symmetric():
         for b in weights:
             if len(a) == len(b):
                 assert rational_tensor(a, b) == rational_tensor(b, a), (a, b)
+
+
+def test_rational_tensor_shifts_with_its_factors():
+    # V_(a+t) x V_b = det^t x (V_a x V_b): every weight of the product moves by t
+    weights = [w for rank in range(1, 4) for w in dominant_weights(rank, -2, 3)]
+    pairs = 0
+    for a in weights:
+        for b in weights:
+            if len(a) != len(b):
+                continue
+            base = rational_tensor(a, b)
+            if a[-1] >= 0 and b[-1] >= 0:
+                # polynomial weights: one LR product, as the oracle-checked search gives it
+                product = schur_product(Partition(a), Partition(b), len(a))
+                assert base == {pad_weight(nu, len(a)): c for nu, c in product.items()}, (a, b)
+            for t in range(-2, 3):
+                shifted = tuple(x + t for x in a)
+                want = {tuple(x + t for x in w): c for w, c in base.items()}
+                assert rational_tensor(shifted, b) == want, (a, b, t)
+                pairs += 1
+    assert pairs == 5 * (6**2 + 21**2 + 56**2)
+
+
+def test_shifted_pairs_share_one_polynomial_product():
+    _rational_tensor_cached.cache_clear()
+    _polynomial_product.cache_clear()
+    rational_tensor((2, 2, 0), (1, 0, 0))
+    misses = _polynomial_product.cache_info().misses
+    assert misses == 1
+    # (3, 3, 1) and (2, 1, 1) end in 1: shifted by it, they are the pair above
+    rational_tensor((3, 3, 1), (2, 1, 1))
+    # the factors swapped are the same unordered pair
+    rational_tensor((0, -1, -1), (1, 1, -1))
+    assert _polynomial_product.cache_info().misses == misses
+    assert _rational_tensor_cached.cache_info().misses == 3
 
 
 def test_rational_tensor_rank_mismatch():

@@ -11,6 +11,7 @@ import pytest
 
 import superbott
 from superbott.cli import build_parser, run
+from superbott.partitions import Partition
 
 
 def capture(capsys, argv):
@@ -49,6 +50,24 @@ def test_lr_command(capsys):
 def test_malformed_partition_exit_1(capsys):
     code, _, err = capture(capsys, ["lr", "[1", "[1]", "[2]"])
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[2,-1]", "parts must be nonnegative: (2, -1)"),
+        ("[1,2]", "parts must be weakly decreasing: (1, 2)"),
+        ("[1,x]", "not a bracketed partition: '[1,x]'"),
+    ],
+)
+def test_partition_argument_error_names_the_fault(capsys, text, message):
+    # a list of integers that is no partition says why; other text is a syntax error
+    with pytest.raises(ValueError) as info:
+        Partition.parse(text)
+    assert str(info.value) == message
+    code, _, err = capture(capsys, ["lr", "[1]", "[1]", text])
+    assert code == 1
+    assert f"argument nu: {message}" in err
 
 
 def test_unknown_command_exit_1(capsys):

@@ -17,6 +17,7 @@ from superbott.superschur import (
     SuperWeight,
     _fraction_det,
     _lr_pairs,
+    _odd_factors,
     _super_schur_terms,
     classical_rational_weight,
     composite_det_specialized,
@@ -166,6 +167,32 @@ def test_lr_pairs_match_per_delta_definition():
                             if c:
                                 want[delta, alpha, c] += 1
             assert Counter(_lr_pairs(lam)) == want, lam
+
+
+def test_odd_factor_table_is_the_per_triple_definition():
+    # the restriction as a per-triple read of _lr_pairs, before the shared
+    # odd-factor table: same terms in the same order
+    def per_triple_terms(lam, m, n):
+        return tuple(
+            ((pad_weight(alpha, m), pad_weight(delta, n)), c)
+            for delta, alpha, c in _lr_pairs(lam)
+            if alpha.length <= m and delta.length <= n
+        )
+
+    cases = 0
+    for size in range(7):
+        for lam in partitions_of(size):
+            for n in range(5):
+                grouped = {}
+                for delta, alpha, c in _lr_pairs(lam):
+                    if delta.length <= n:
+                        grouped.setdefault(alpha, []).append((pad_weight(delta, n), c))
+                want = tuple((alpha, tuple(x)) for alpha, x in grouped.items())
+                assert _odd_factors(lam, n) == want, (lam, n)
+                for m in range(5):
+                    assert _super_schur_terms(lam, m, n) == per_triple_terms(lam, m, n), (lam, m, n)
+                    cases += 1
+    assert cases == 25 * sum(1 for size in range(7) for _ in partitions_of(size))
 
 
 def test_rational_schur_char_pgl():
