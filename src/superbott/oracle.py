@@ -1,5 +1,6 @@
 """Brute-force cross-checks: tableau enumeration, monomial expansion,
-Jacobi-Trudi specialization.
+LR coefficients by Jacobi's bialternant formula, Jacobi-Trudi
+specialization.
 
 Everything here is exponential and guarded; it exists to validate the fast
 paths in the test suite and is not wired into the CLI.
@@ -12,13 +13,13 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from .partitions import Partition, SkewShape, partitions_of
+from .partitions import Partition, SkewShape
 from .superschur import _fraction_det, _h_table
 
 MAX_CELLS = 12
 
 
-def _guard(shape: SkewShape) -> None:
+def _guard(shape: Partition | SkewShape) -> None:
     if shape.size > MAX_CELLS:
         raise ValueError(f"oracle input too large: {shape.size} cells")
 
@@ -90,90 +91,36 @@ def _monomials(shape, nvars: int) -> Mapping[Tuple[int, ...], int]:
     return schur_monomials((tuple(shape.outer), tuple(shape.inner)), nvars)
 
 
-def _strips_removed(shape: Tuple[int, ...], size: int) -> Iterator[Tuple[int, ...]]:
-    """Every inner shape sigma such that shape/sigma is a horizontal strip of the given size."""
-    n = len(shape)
-
-    def rec(i: int, left: int, acc: list) -> Iterator[Tuple[int, ...]]:
-        if i == n:
-            if left == 0:
-                yield tuple(x for x in acc if x)
-            return
-        below = shape[i + 1] if i + 1 < n else 0
-        for s in range(max(below, shape[i] - left), shape[i] + 1):
-            acc.append(s)
-            yield from rec(i + 1, left - (shape[i] - s), acc)
-            acc.pop()
-
-    yield from rec(0, size, [])
-
-
-@lru_cache(maxsize=4096)
-def _kostka(shape: Tuple[int, ...], content: Tuple[int, ...]) -> int:
-    """Kostka number: semistandard tableaux of the shape with the given content.
-
-    The cells holding the largest label form a horizontal strip of
-    content[-1] cells; removing it leaves a tableau of the rest of the
-    content, so the count recurses on the content's length.
-    """
-    if not content:
-        return 0 if shape else 1
-    if len(shape) > len(content):
-        return 0
-    rest = content[:-1]
-    return sum(_kostka(inner, rest) for inner in _strips_removed(shape, content[-1]))
-
-
-def _fitting(trie: dict, kappa: Tuple[int, ...]) -> list:
-    """(c, kappa - e) for every monomial c x^e of the trie with e <= kappa entrywise.
-
-    The trie has one level of dicts per exponent, with ascending keys at
-    every level, so each level stops at the first exponent past kappa's.
-    """
-    level = [(trie, ())]
-    for k in kappa:
-        nxt = []
-        for node, rest in level:
-            for x, child in node.items():
-                if x > k:
-                    break
-                nxt.append((child, rest + (k - x,)))
-        level = nxt
-    return level
-
-
 @lru_cache(maxsize=16)
 def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
     nvars = max(1, lam.length + mu.length)
     mono_mu = _monomials(mu, nvars)
-    # inserted in lex order, so the keys of every level ascend
-    trie: dict = {}
-    for e, c in sorted(_monomials(lam, nvars).items()):
-        node = trie
-        for x in e[:-1]:
-            node = node.setdefault(x, {})
-        node[e[-1]] = c
-    out = []
-    for kappa in partitions_of(lam.size + mu.size, max_length=nvars):
-        padded = kappa + (0,) * (nvars - kappa.length)
-        coeff = sum(c * mono_mu.get(rest, 0) for c, rest in _fitting(trie, padded))
-        coeff -= sum(c * _kostka(rho, kappa) for rho, c in out)
-        if coeff:
-            out.append((kappa, coeff))
-    return tuple(out)
+    _guard(lam)
+    shifted = [lam.part(i) + nvars - 1 - i for i in range(nvars)]
+    out: Dict[Partition, int] = {}
+    for e, c in mono_mu.items():
+        v = [a + b for a, b in zip(shifted, e)]
+        if len(set(v)) < nvars:
+            continue  # a repeated entry: the alternant vanishes
+        inversions = sum(v[i] < v[j] for i in range(nvars) for j in range(i + 1, nvars))
+        nu = Partition(x - (nvars - 1 - i) for i, x in enumerate(sorted(v, reverse=True)))
+        out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
+    return tuple(sorted(((nu, c) for nu, c in out.items() if c), reverse=True))
 
 
 def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
-    """Expand s_lam * s_mu into Schur polynomials by Kostka triangularity.
+    """Expand s_lam * s_mu into Schur polynomials by Jacobi's bialternant formula.
 
-    The coefficient of x^kappa in the product is the sum over the
-    monomials x^e of s_lam with e <= kappa entrywise of that of
-    x^(kappa - e) in s_mu, and only those e are visited; it equals
-    sum_nu c_nu K(nu, kappa), where K(nu, kappa) is zero unless nu
-    dominates kappa.  Peeling the dominant kappa in lex-decreasing order
-    therefore leaves c_kappa.  No LR rule is used.  The last few expansions
-    are cached, so that ``lr_bruteforce`` over every nu of one (lam, mu)
-    expands once.
+    In N = max(1, l(lam) + l(mu)) variables s_lam = a_(lam+delta) / a_delta,
+    with delta = (N-1, ..., 1, 0) and a_v the alternant det(x_i^(v_j))
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.3).  Since s_mu
+    is symmetric, a_(lam+delta) * s_mu = sum c * a_(lam+delta+e) over the
+    monomials c x^e of s_mu.  An alternant with a repeated entry vanishes,
+    and otherwise a_v = (-1)^inversions(v) a_(sort(v)), so each monomial
+    adds its signed c to the coefficient of s_nu, nu = sort(v) - delta.
+    Every nu of the product has at most N rows, so nothing is lost.  No LR
+    rule is used.  The last few expansions are cached, so that
+    ``lr_bruteforce`` over every nu of one (lam, mu) expands once.
     """
     return dict(_schur_expand_cached(Partition(lam), Partition(mu)))
 

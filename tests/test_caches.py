@@ -26,7 +26,6 @@ def test_every_functools_cache_is_bounded():
         "characters._rational_tensor_cached",
         "cohomology._block_side",
         "cohomology._box_shapes",
-        "oracle._kostka",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
         "superschur._odd_factors",

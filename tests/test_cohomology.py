@@ -242,6 +242,36 @@ def test_e1_bigraded_totals_match():
     assert h.hexdigest() == "fa50099f8bd6e6c830ebfe941bc83b140f0bf0e98d498c2481ed1ff2dd3bdefa"
 
 
+def test_first_page_is_parity_symmetric():
+    # The parity shift identifies Gr(p|q, m|n) with Gr(q|p, n|m), and
+    # S_alpha(Pi Q) = Pi^|alpha| S_(alpha^T)(Q), so mirroring a bundle (swap
+    # the even and odd ranks, transpose both shapes) swaps the two blocks of
+    # every weight of its first page and keeps the grades.  Covers NONE,
+    # CASE1 and CASE2 bundles with m, n <= 3 and |alpha|, |beta| <= 3.
+    def swapped(terms):
+        return {(w1, w0): c for (w0, w1), c in terms.items()}
+
+    shapes = small_shapes(3)
+    count = hypothesis_count = 0
+    for m, n in product(range(4), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), shapes, shapes):
+            spec = bundle(p, q, m, n, a, b)
+            mirror = bundle(q, p, n, m, a.transpose(), b.transpose())
+            page = {grade: vc.terms for grade, vc in e1_bigraded(mirror).items()}
+            assert page == {grade: swapped(vc.terms) for grade, vc in e1_bigraded(spec).items()}, spec
+            case = hypothesis_case(spec)
+            assert (hypothesis_case(mirror) is HypothesisCase.NONE) == (case is HypothesisCase.NONE), spec
+            if case is not HypothesisCase.NONE:
+                got = main_theorem_char(mirror).by_degree
+                want = main_theorem_char(spec).by_degree
+                assert {deg: vc.terms for deg, vc in got.items()} == {
+                    deg: swapped(vc.terms) for deg, vc in want.items()
+                }, spec
+                hypothesis_count += 1
+            count += 1
+    assert (count, hypothesis_count) == (4900, 398)
+
+
 def test_e1_term_budget(monkeypatch):
     monkeypatch.setenv("SUPERBOTT_MAX_TERMS", "1")
     before = _box_shapes.cache_info()

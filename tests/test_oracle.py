@@ -8,7 +8,6 @@ import pytest
 import superbott.oracle
 from superbott.characters import VirtualCharacter, lr_coefficient, pad_weight, weyl_dim
 from superbott.oracle import (
-    _kostka,
     lr_bruteforce,
     schur_expand_bruteforce,
     schur_monomials,
@@ -44,6 +43,12 @@ def test_ssyt_guard():
         ssyt_count((7, 6), 3)
 
 
+@pytest.mark.parametrize("lam, mu", [((13,), (1,)), ((1,), (13,)), ((7, 6), ()), ((), (7, 6))])
+def test_lr_oracle_guards_both_shapes(lam, mu):
+    with pytest.raises(ValueError, match="^oracle input too large: 13 cells$"):
+        schur_expand_bruteforce(lam, mu)
+
+
 def test_lr_bruteforce_values():
     assert lr_bruteforce((2, 1), (), (2, 1)) == 1
     assert lr_bruteforce((1,), (1,), (2,)) == 1
@@ -70,15 +75,6 @@ def test_lr_oracle_decomposes_the_product():
                 for e, k in schur_monomials((nu, ()), nvars).items():
                     expanded[e] += c * k
             assert expanded == product, (lam, mu)
-
-
-def test_kostka_counts_tableaux_by_content():
-    for k in range(8):
-        for rho in partitions_of(k):
-            for kappa in partitions_of(k):
-                n = max(1, kappa.length)
-                padded = kappa + (0,) * (n - kappa.length)
-                assert _kostka(rho, kappa) == schur_monomials((rho, ()), n).get(padded, 0), (rho, kappa)
 
 
 def test_specialize_schur_values():
