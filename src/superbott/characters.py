@@ -143,35 +143,48 @@ def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int]
     Cells are filled in reverse reading order (rows top to bottom, each row
     right to left) with free content: rows weakly increase, columns strictly
     increase, and the reading word is a lattice word (each label i+1 is
-    preceded by more i's than i+1's).  Inner must lie inside outer.  Callers:
+    preceded by more i's than i+1's).  Inner must lie inside outer.  The
+    search is one loop, not a recursion, so no shape is too long for it: each
+    cell takes the next admissible label above the one it held last, or is
+    cleared and the search backs up a cell; tops[k] is the largest label of
+    the first k cells.  Callers:
     ``skew_expand``, ``lr_coefficient`` and superschur's ``_lr_pairs`` and
     ``_skew_super_char``; perfbench's layer trace reads this function and
     its cache by this name.
     """
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
+    n = len(cells)
     grid = [[0] * outer[r] for r in range(outer.length)]
     content = [0] * (outer.length + 1)
+    tops = [0] * (n + 1)
     tally: Dict[Tuple[int, ...], int] = {}
-
-    def fill(k: int, top: int) -> None:
-        if k == len(cells):
-            key = tuple(content[:top])
+    k = 0
+    while k >= 0:
+        if k == n:
+            key = tuple(content[: tops[n]])
             tally[key] = tally.get(key, 0) + 1
-            return
+            k -= 1
+            continue
         r, c = cells[k]
-        hi = grid[r][c + 1] if c + 1 < outer[r] else top + 1  # rows weakly increase
-        lo = grid[r - 1][c] + 1 if r and c >= inner.part(r - 1) else 1  # columns strictly increase
-        for v in range(lo, hi + 1):
-            if v > 1 and content[v - 2] <= content[v - 1]:
-                continue  # lattice word
-            grid[r][c] = v
-            content[v - 1] += 1
-            fill(k + 1, max(top, v))
+        row = grid[r]
+        v = row[c]
+        if v:
             content[v - 1] -= 1
-        grid[r][c] = 0
-
-    fill(0, 0)
-    # a lattice word's content is weakly decreasing and positive up to top
+        elif r and c >= inner.part(r - 1):
+            v = grid[r - 1][c]  # columns strictly increase
+        v += 1
+        hi = row[c + 1] if c + 1 < outer[r] else tops[k] + 1  # rows weakly increase
+        while 1 < v <= hi and content[v - 2] <= content[v - 1]:
+            v += 1  # lattice word
+        if v > hi:
+            row[c] = 0
+            k -= 1
+        else:
+            row[c] = v
+            content[v - 1] += 1
+            tops[k + 1] = max(tops[k], v)
+            k += 1
+    # a lattice word's content is weakly decreasing and positive up to tops[n]
     return tuple((_trusted(nu), c) for nu, c in tally.items())
 
 
@@ -279,11 +292,7 @@ class VirtualCharacter:
         w0, w1 = key
         if len(w0) != self.m or len(w1) != self.n:
             raise ValueError("rank mismatch")
-        new = self.terms.get(key, 0) + mult
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
+        _merge(self.terms, {key: mult}, 1)
 
     def _check(self, other: "VirtualCharacter") -> None:
         if (self.m, self.n) != (other.m, other.n):
@@ -320,7 +329,7 @@ class VirtualCharacter:
         return VirtualCharacter._trusted(self.m, self.n, {k: c for k, c in terms.items() if c})
 
     def dual(self) -> "VirtualCharacter":
-        return VirtualCharacter(
+        return VirtualCharacter._trusted(
             self.m,
             self.n,
             {(dual_weight(w0), dual_weight(w1)): c for (w0, w1), c in self.terms.items()},
@@ -384,11 +393,9 @@ def external_product(a: VirtualCharacter, b: VirtualCharacter) -> VirtualCharact
     """Combine a GL(m) character and a GL(n) character into one over the product."""
     if a.n != 0 or b.n != 0:
         raise ValueError("external_product expects single-group characters")
-    out = VirtualCharacter(a.m, b.m)
-    for (w0, _), c1 in a.terms.items():
-        for (w1, _), c2 in b.terms.items():
-            out.add_term((w0, w1), c1 * c2)
-    return out
+    return VirtualCharacter(
+        a.m, b.m, {(w0, w1): c1 * c2 for (w0, _), c1 in a.terms.items() for (w1, _), c2 in b.terms.items()}
+    )
 
 
 class GradedCharacter:
@@ -402,13 +409,7 @@ class GradedCharacter:
         self.by_degree: Dict[int, VirtualCharacter] = {}
 
     def add_term(self, degree: int, key: Tuple[GLWeight, GLWeight], mult: int) -> None:
-        vc = self.by_degree.get(degree)
-        if vc is None:
-            vc = VirtualCharacter(self.m, self.n)
-            self.by_degree[degree] = vc
-        vc.add_term(key, mult)
-        if vc.is_zero():
-            del self.by_degree[degree]
+        self.add_char(degree, VirtualCharacter(self.m, self.n, {key: mult}))
 
     def add_char(self, degree: int, char: VirtualCharacter, mult: int = 1) -> None:
         """Add mult times char in one degree; char's keys were rank-checked

@@ -1,8 +1,10 @@
 """Command-line front end: character computations and verifications in batch.
 
 Exit codes: 0 on success, 2 when a mathematical precondition fails or a
-shape is too long for the recursive tableau search (with a JSON error
-object on stderr), 1 on malformed input.  All JSON output is canonical
+shape has too many rows (about 990) for the partition enumerations, which
+recurse once per row (with a JSON error object on stderr), 1 on malformed
+input.  LR products are expanded strip by strip, skew shapes cell by cell
+in a loop, so a long row is no error.  All JSON output is canonical
 (sorted keys, no whitespace, no floats) so that parse + re-emit is
 byte-identical; dimensions are decimal strings since they overflow 64-bit
 integers quickly.

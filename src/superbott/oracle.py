@@ -8,6 +8,7 @@ paths in the test suite and is not wired into the CLI.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -35,10 +36,7 @@ def _ssyt_fillings(shape: SkewShape, bound: int) -> Iterator[Tuple[int, ...]]:
     outer, inner = shape.outer, shape.inner
     nrows = outer.length
     grid = [[0] * outer.part(r) for r in range(nrows)]
-    cells = []
-    for r in range(nrows):
-        for c in range(inner.part(r), outer.part(r)):
-            cells.append((r, c))
+    cells = [(r, c) for r in range(nrows) for c in range(inner.part(r), outer.part(r))]
     content = [0] * bound
 
     def fill(k: int) -> Iterator[Tuple[int, ...]]:
@@ -46,28 +44,16 @@ def _ssyt_fillings(shape: SkewShape, bound: int) -> Iterator[Tuple[int, ...]]:
             yield tuple(content)
             return
         r, c = cells[k]
-        lo = 1
-        if c > 0 and c - 1 >= inner.part(r):
-            lo = max(lo, grid[r][c - 1])  # rows weakly increase
-        if r > 0 and c < outer.part(r - 1) and c >= inner.part(r - 1):
+        lo = grid[r][c - 1] if c > inner.part(r) else 1  # rows weakly increase
+        if r and c >= inner.part(r - 1):
             lo = max(lo, grid[r - 1][c] + 1)  # columns strictly increase
         for v in range(lo, bound + 1):
             grid[r][c] = v
             content[v - 1] += 1
             yield from fill(k + 1)
             content[v - 1] -= 1
-            grid[r][c] = 0
 
     yield from fill(0)
-
-
-def ssyt_count(shape, bound: int) -> int:
-    """Number of semistandard tableaux of the shape with entries <= bound."""
-    shape = _as_skew(shape)
-    _guard(shape)
-    if bound <= 0:
-        return 1 if shape.size == 0 else 0
-    return sum(1 for _ in _ssyt_fillings(shape, bound))
 
 
 @lru_cache(maxsize=1024)
@@ -89,6 +75,11 @@ def schur_monomials(shape_key, nvars: int) -> Mapping[Tuple[int, ...], int]:
 def _monomials(shape, nvars: int) -> Mapping[Tuple[int, ...], int]:
     shape = _as_skew(shape)
     return schur_monomials((tuple(shape.outer), tuple(shape.inner)), nvars)
+
+
+def ssyt_count(shape, bound: int) -> int:
+    """Number of semistandard tableaux of the shape with entries <= bound."""
+    return sum(_monomials(shape, bound).values())
 
 
 @lru_cache(maxsize=16)
@@ -167,15 +158,14 @@ def specialize_schur(shape, values: Sequence[Fraction]) -> Fraction:
 
 def specialize_schur_ssyt(shape, values: Sequence[Fraction]) -> Fraction:
     """Evaluate a (skew) Schur polynomial by summing over its tableaux."""
-    shape = _as_skew(shape)
-    _guard(shape)
-    total = Fraction(0)
-    for content in _ssyt_fillings(shape, len(values)):
-        term = Fraction(1)
-        for x, e in zip(values, content):
-            term *= Fraction(x) ** e
-        total += term
-    return total
+    monomials = _monomials(shape, len(values)).items()
+    return sum((c * math.prod(Fraction(x) ** e for x, e in zip(values, content)) for content, c in monomials), Fraction(0))
+
+
+def _shift(w: Tuple[int, ...]) -> Tuple[int, Partition]:
+    """The shift k = max(0, -min(w)) and the partition w + k*(1, ..., 1)."""
+    k = max(0, -min(w, default=0))
+    return k, Partition(x + k for x in w)
 
 
 def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
@@ -188,16 +178,9 @@ def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     w = tuple(w)
     if len(w) != len(values):
         raise ValueError("need one value per weight entry")
-    if not w:
-        return Fraction(1)
-    k = max(0, -min(w))
-    result = specialize_schur_ssyt(Partition(x + k for x in w), values)
-    if k:
-        denom = Fraction(1)
-        for x in values:
-            denom *= Fraction(x) ** k
-        result /= denom
-    return result
+    k, gamma = _shift(w)
+    result = specialize_schur_ssyt(gamma, values)
+    return result / math.prod(map(Fraction, values)) ** k if k else result
 
 
 def _weight_values(weights, values: Sequence[Fraction]) -> Dict[Tuple[int, ...], Fraction]:
@@ -212,12 +195,9 @@ def _weight_values(weights, values: Sequence[Fraction]) -> Dict[Tuple[int, ...],
     for w in weights:
         if len(w) != len(values):
             raise ValueError("need one value per weight entry")
-        k = max(0, -min(w, default=0))
-        shifted[w] = (k, Partition(x + k for x in w))
+        shifted[w] = _shift(w)
     h = _h_table(max([0] + [g.part(0) + g.length - 1 for _, g in shifted.values()]), values)
-    prod = Fraction(1)
-    for x in values:
-        prod *= x
+    prod = math.prod(map(Fraction, values))
     out = {}
     for w, (k, gamma) in shifted.items():
         value = _jt_det(h, gamma, Partition())

@@ -13,6 +13,7 @@ from .characters import (
     GLWeight,
     VirtualCharacter,
     _lr_count,
+    _merge,
     _rational_tensor_cached,
     dual_weight,
     pad_weight,
@@ -163,15 +164,21 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
     return VirtualCharacter._trusted(m, n, terms)
 
 
-def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim, dualize: bool) -> VirtualCharacter:
-    """Character of the skew super Schur functor, optionally of the dual space."""
-    out = VirtualCharacter(d.m, d.n)
+def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim) -> VirtualCharacter:
+    """Character of the skew super Schur functor of outer/inner on m|n."""
+    terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
     for nu, c in _lr_count(outer, inner):
-        piece = super_schur_decompose(nu, d)
-        if dualize:
-            piece = piece.dual()
-        out = out + piece.scale(c)
-    return out
+        _merge(terms, super_schur_decompose(nu, d).terms, c)
+    return VirtualCharacter._trusted(d.m, d.n, terms)
+
+
+def _box(lam: Partition, mu: Partition, p: int | None, q: int | None) -> Tuple[int, int]:
+    """The box (p, q) of a composite character, by default (l(lam), l(mu))."""
+    p = lam.length if p is None else p
+    q = mu.length if q is None else q
+    if p < lam.length or q < mu.length:
+        raise PreconditionError("box smaller than the indexing partitions")
+    return p, q
 
 
 def composite_euler_char(
@@ -183,21 +190,15 @@ def composite_euler_char(
     output may be virtual outside the complete-intersection range.
     """
     lam, mu = Partition(lam), Partition(mu)
-    if p is None:
-        p = lam.length
-    if q is None:
-        q = mu.length
-    if p < lam.length or q < mu.length:
-        raise PreconditionError("box smaller than the indexing partitions")
-    out = VirtualCharacter(d.m, d.n)
+    p, q = _box(lam, mu, p, q)
+    terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
     for gamma in partitions_in_box(q, p):
         if not contains(gamma, mu) or not contains(gamma.transpose(), lam):
             continue
-        left = _skew_super_char(mu, gamma, d, dualize=True)
-        right = _skew_super_char(lam, gamma.transpose(), d, dualize=False)
-        sign = -1 if gamma.size % 2 else 1
-        out = out + (left * right).scale(sign)
-    return out
+        left = _skew_super_char(mu, gamma, d).dual()
+        right = _skew_super_char(lam, gamma.transpose(), d)
+        _merge(terms, (left * right).terms, -1 if gamma.size % 2 else 1)
+    return VirtualCharacter._trusted(d.m, d.n, terms)
 
 
 def _h_table(top: int, evens: Sequence[Fraction], odds: Sequence[Fraction] = ()) -> List[Fraction]:
@@ -278,12 +279,7 @@ def composite_det_specialized(
         raise ValueError("evaluation points do not match the dimensions")
     if any(x == 0 for x in evens) or any(y == 0 for y in odds):
         raise PreconditionError("singular evaluation")
-    if p is None:
-        p = lam.length
-    if q is None:
-        q = mu.length
-    if p < lam.length or q < mu.length:
-        raise PreconditionError("box smaller than the indexing partitions")
+    p, q = _box(lam, mu, p, q)
     # h is read at most p - 1 past lam's first part, hbar q - 1 past mu's
     h = _h_table(lam.part(0) + p - 1, evens, odds)
     hbar = _h_table(mu.part(0) + q - 1, [1 / x for x in evens], [1 / y for y in odds])

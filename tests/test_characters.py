@@ -195,6 +195,8 @@ def test_virtual_character_arithmetic():
     assert a.terms == {((1, 0), (0,)): 1}
     with pytest.raises(ValueError, match="rank mismatch"):
         a.add_term(((1,), (0,)), 1)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        a + VirtualCharacter(1, 1)
 
 
 def test_virtual_character_tensor_and_dual():
@@ -232,6 +234,8 @@ def test_external_product():
     got = external_product(a, b)
     assert got.terms == {((1, 0), (3,)): 2}
     assert (got.m, got.n) == (2, 1)
+    with pytest.raises(ValueError, match="single-group"):
+        external_product(got, b)
 
 
 def test_graded_character():
@@ -275,6 +279,8 @@ def test_graded_character_diff():
     d = a.diff(b)
     assert set(d) == {0, 1}
     assert a.diff(a) == {}
+    with pytest.raises(ValueError, match="rank mismatch"):
+        a.diff(GradedCharacter(2, 0))
 
 
 def test_schur_product_grid_matches_lr_coefficient():

@@ -83,6 +83,9 @@ def test_missing_required_arg_exit_1(capsys):
 def test_bad_int_pair_exit_1(capsys):
     code, _, _ = capture(capsys, ["cohom", "--grass", "1", "--dim", "3,2"])
     assert code == 1
+    code, _, err = capture(capsys, ["cohom", "--grass", "1,x", "--dim", "3,2"])
+    assert code == 1
+    assert "expected integers" in err
 
 
 @pytest.mark.parametrize(
@@ -128,6 +131,10 @@ def test_e1_reports_nondegeneracy_flag(capsys):
     payload = json.loads(out)
     assert payload["case"] == "none"
     assert payload["possibly_nondegenerate"] is True
+    # alpha too long for the quotient: the table says the page is zero
+    code, out, _ = capture(capsys, ["e1", "--grass", "1,0", "--dim", "1,0", "--alpha", "[1,1]"])
+    assert code == 0
+    assert out.strip() == "zero"
 
 
 def test_hilbert_grass_table(capsys):
@@ -209,8 +216,13 @@ def test_package_runs_as_module():
 
 
 def test_recursion_depth_on_long_shapes_exit_2():
-    # the LR tableau search recurses once per cell; 1000 cells exceed the default limit
+    # the skew LR search walks its cells in a loop, so 1000 cells are fine
     proc = run_module("superbott", "lr", "[]", "[1000]", "[1000]")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+    # the partition enumerations still recurse once per row; 1000 rows exceed the default limit
+    column = "[" + ",".join(["1"] * 1000) + "]"
+    proc = run_module("superbott", "char-super", "--shape", column, "--dim", "1,1")
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["type"] == "RecursionError"
     assert "Traceback" not in proc.stderr

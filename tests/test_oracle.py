@@ -28,6 +28,8 @@ def test_ssyt_count_small():
     assert ssyt_count((2,), 2) == 3
     assert ssyt_count((), 3) == 1
     assert ssyt_count((1, 1, 1), 2) == 0
+    assert ssyt_count((), 0) == 1
+    assert ssyt_count((1,), 0) == 0
 
 
 def test_ssyt_count_matches_weyl_dim():
@@ -53,6 +55,7 @@ def test_lr_bruteforce_values():
     assert lr_bruteforce((2, 1), (), (2, 1)) == 1
     assert lr_bruteforce((1,), (1,), (2,)) == 1
     assert lr_bruteforce((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert lr_bruteforce((1,), (1,), (3,)) == 0
 
 
 def test_schur_expand_bruteforce_is_a_decomposition():

@@ -97,6 +97,7 @@ def test_partitions_of_counts():
     expected = [1, 1, 2, 3, 5, 7, 11, 15, 22]
     for n, count in enumerate(expected):
         assert sum(1 for _ in partitions_of(n)) == count
+    assert list(partitions_of(-1)) == []
 
 
 def test_partitions_of_bounds():

@@ -25,6 +25,8 @@ def test_q_factorial():
     assert q_factorial(0) == HilbertSeries.one()
     assert q_factorial(3) == q_int(1) * q_int(2) * q_int(3)
     assert q_factorial(3).eval(1) == 6
+    with pytest.raises(ValueError):
+        q_factorial(-1)
 
 
 def test_series_arithmetic():
@@ -37,6 +39,10 @@ def test_series_arithmetic():
         HilbertSeries({0: 1, 2: 1, 4: 1}).exact_div(HilbertSeries({0: 1, 2: 1}))
     with pytest.raises(ZeroDivisionError):
         a.exact_div(HilbertSeries.zero())
+    with pytest.raises(ArithmeticError, match="inexact"):
+        HilbertSeries({0: 1}).exact_div(HilbertSeries({0: 1, 2: 1}))
+    with pytest.raises(ValueError, match="nonnegative"):
+        HilbertSeries({-2: 1})
 
 
 def test_series_str():
@@ -49,6 +55,8 @@ def test_flag_poincare_grassmannian_cases():
     assert flag_poincare((1, 1)) == HilbertSeries({0: 1, 2: 1})
     assert flag_poincare((1, 2)) == HilbertSeries({0: 1, 2: 1, 4: 1})
     assert flag_poincare((2, 2)) == HilbertSeries({0: 1, 2: 1, 4: 2, 6: 1, 8: 1})
+    with pytest.raises(ValueError, match="nonnegative"):
+        flag_poincare((-1, 2))
 
 
 def test_flag_poincare_full_flag():

@@ -328,6 +328,12 @@ def test_composite_det_singular_point():
             SuperDim(2, 0),
             ([Fraction(0), Fraction(1)], []),
         )
+    with pytest.raises(ValueError, match="do not match the dimensions"):
+        composite_det_specialized(Partition((1,)), Partition(), SuperDim(2, 1), ([Fraction(1)], [Fraction(1)]))
+    with pytest.raises(PreconditionError, match="box smaller"):
+        composite_det_specialized(
+            Partition((1, 1)), Partition(), SuperDim(2, 1), ([Fraction(1), Fraction(2)], [Fraction(3)]), p=1
+        )
 
 
 def test_super_h_boundaries():
