@@ -1,13 +1,13 @@
 """Command-line front end: character computations and verifications in batch.
 
-Exit codes: 0 on success, 2 when a mathematical precondition fails or a
-shape has too many rows (about 990) for the partition enumerations, which
-recurse once per row (with a JSON error object on stderr), 1 on malformed
-input.  LR products are expanded strip by strip, skew shapes cell by cell
-in a loop, so a long row is no error.  All JSON output is canonical
-(sorted keys, no whitespace, no floats) so that parse + re-emit is
-byte-identical; dimensions are decimal strings since they overflow 64-bit
-integers quickly.
+Exit codes: 0 on success, 2 when a mathematical precondition fails or an
+LR product reaches a shape with too many rows (about 990) for its strip
+search, which recurses once per row (with a JSON error object on stderr),
+1 on malformed input.  Skew shapes are expanded cell by cell and partitions
+enumerated in loops, so a long row or column is no error there.  All JSON
+output is canonical (sorted keys, no whitespace, no floats) so that parse +
+re-emit is byte-identical; dimensions are decimal strings since they
+overflow 64-bit integers quickly.
 """
 
 from __future__ import annotations

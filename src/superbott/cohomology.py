@@ -153,7 +153,11 @@ def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
     It is the Poincare polynomial of the classical flag variety of the odd
     ranks q_i in C^n in CASE1, and of the even ranks p_i in C^m in CASE2.
     """
-    case = hypothesis_case(spec)
+    return _structure_sheaf_hilbert(spec, hypothesis_case(spec))
+
+
+def _structure_sheaf_hilbert(spec: BundleSpec | FlagSpec, case: HypothesisCase) -> HilbertSeries:
+    """``structure_sheaf_hilbert`` given the bundle's ``hypothesis_case``."""
     if case is HypothesisCase.CASE1:
         return flag_poincare(_flag_blocks(tuple(q for _, q in spec.steps), spec.n))
     if case is HypothesisCase.CASE2:
@@ -162,8 +166,10 @@ def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
 
 
 # One Levi block side of rational_tensor(a, b): (entry_mask, rho-shifted
-# block, multiplicity) for each term.
+# block, multiplicity) for each term.  A Levi row is one term's block sides,
+# one per shape of a box.
 _BlockSide = Tuple[Tuple[int, GLWeight, int], ...]
+_LeviRow = Tuple[_BlockSide, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -179,7 +185,7 @@ def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _BlockSide:
     return tuple((entry_mask(v), v, c) for v, c in shifted)
 
 
-def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
+def _reach(row: _LeviRow) -> Callable[[int], int]:
     """Which sides of a row hold a block that shares no entry with a given mask.
 
     ``row`` is one term's block sides, one per shape position.  The result
@@ -206,26 +212,72 @@ def _reach(row: List[_BlockSide]) -> Callable[[int], int]:
     return reach
 
 
-def _levi_bott_pairs(upper: _BlockSide, lower: _BlockSide) -> List[Tuple[int, GLWeight, int]]:
-    """(degree, weight, multiplicity) of levi_bott on each surviving pair."""
+@lru_cache(maxsize=16384)
+def _levi_bott_pairs(
+    upper: _BlockSide, lower: _BlockSide
+) -> Tuple[Tuple[int, GLWeight, int], ...]:
+    """(degree, weight, multiplicity) of levi_bott on each surviving pair.
+
+    The result depends on the two sides alone, so it is memoized across
+    calls, for the 16384 most recently used pairs (one pass of 3070 small
+    bundles asks for about 8500); it is a tuple of tuples, which no caller
+    can change.
+    """
     out = []
     for um, u, c1 in upper:
         for lm, l, c2 in lower:
             if not um & lm:
                 degree, w = levi_bott(u, um, l, lm)
                 out.append((degree, w, c1 * c2))
-    return out
+    return tuple(out)
+
+
+# Which weight of a _box_shapes entry a Levi row reads.
+_SIGMA, _SIGMA_DUAL, _SIGMA_T, _SIGMA_T_DUAL = 1, 2, 3, 4
 
 
 # The exterior-algebra shapes of one box.  Each table depends on its box
 # alone, so it is memoized across calls; with m, n <= 7 there are at most
 # 64 boxes.
 @lru_cache(maxsize=64)
-def _box_shapes(rows: int, cols: int) -> Tuple[Tuple[int, GLWeight, GLWeight], ...]:
-    """(size, sigma padded to rows, sigma^T padded to cols) for each sigma in the box."""
+def _box_shapes(
+    rows: int, cols: int
+) -> Tuple[Tuple[int, GLWeight, GLWeight, GLWeight, GLWeight], ...]:
+    """(size, sigma, its dual, sigma^T, its dual) for each sigma in the box.
+
+    sigma is padded to ``rows`` entries and sigma^T to ``cols``.
+    """
+    table = []
+    for sigma in partitions_in_box(rows, cols):
+        even = pad_weight(sigma, rows)
+        odd = pad_weight(sigma.transpose(), cols)
+        table.append((sigma.size, even, dual_weight(even), odd, dual_weight(odd)))
+    return tuple(table)
+
+
+@lru_cache(maxsize=4096)
+def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _LeviRow:
+    """``_block_side(a, shape[column], offset)`` for each shape of the box.
+
+    The row follows the order of ``_box_shapes(rows, cols)``.  It depends
+    on its arguments alone, so it is memoized across calls, for the 4096
+    most recently used keys (one pass of 3070 small bundles asks for about
+    1650).
+    """
+    return tuple(_block_side(a, shape[column], offset) for shape in _box_shapes(rows, cols))
+
+
+@lru_cache(maxsize=1024)
+def _dual_terms(
+    lam: Partition, m: int, n: int
+) -> Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]:
+    """``_super_schur_terms(lam, m, n)`` with both blocks of each weight dualized.
+
+    Memoized across calls like the restriction itself, for the 1024 most
+    recently used keys.
+    """
     return tuple(
-        (sigma.size, pad_weight(sigma, rows), pad_weight(sigma.transpose(), cols))
-        for sigma in partitions_in_box(rows, cols)
+        ((dual_weight(w0), dual_weight(w1)), c) for (w0, w1), c in _super_schur_terms(lam, m, n)
     )
 
 
@@ -237,23 +289,22 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
     per pair of rational_tensor terms.  A pair survives Bott exactly when
     its blocks share no entry, which is one AND of their ``entry_mask``s.
     Each alpha-term holds a row of even upper sides, one per nu, and each
-    beta-term a row of odd lower sides, one per nu; a weight shared by two
-    terms reads its row from ``_block_side``'s memo.  ``_reach`` turns each
-    such row into bit sets over the nu positions, so for one (alpha-term,
-    beta-term, lam) the cells whose even side survives are the OR of the
-    reach of every lower block mask, those whose odd side survives the OR of
-    the reach of every upper block mask, and the loop walks the set bits of
-    both in ascending nu.  ``levi_bott`` computes degrees and weights only
-    on those cells.  Every multiplicity is a product of positive super-Schur,
-    LR and Bott multiplicities, so no term cancels and no block of the
-    result is zero.
+    beta-term a row of odd lower sides, one per nu; each row is read from
+    ``_levi_row``'s memo.  ``_reach`` turns each such row into bit sets over
+    the nu positions, so for one (alpha-term, beta-term, lam) the cells
+    whose even side survives are the OR of the reach of every lower block
+    mask, those whose odd side survives the OR of the reach of every upper
+    block mask, and the loop walks the set bits of both in ascending nu.
+    Bott runs only on those cells, through ``_levi_bott_pairs``'s memo.
+    Every multiplicity is a product of positive super-Schur, LR and Bott
+    multiplicities, so no term cancels and no block of the result is zero.
     """
     m, n, p, q = spec.m, spec.n, spec.p, spec.q
     mq, nq = m - p, n - q  # classical quotient ranks
 
     page: Dict[Tuple[int, int], Dict[Tuple[GLWeight, GLWeight], int]] = {}
     alpha_terms = _super_schur_terms(spec.alpha, mq, nq)
-    beta_terms = _super_schur_terms(spec.beta, p, q)
+    beta_terms = _dual_terms(spec.beta, p, q)
     if not alpha_terms or not beta_terms:
         return page
 
@@ -267,24 +318,21 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
     # the dual quotient on the odd side, nu in the (m - p) x q box the reverse
     lams = _box_shapes(p, nq)
     nus = _box_shapes(mq, q)
-    lam_odds = [dual_weight(w) for _, _, w in lams]
-    nu_evens = [dual_weight(w) for _, w, _ in nus]
     alphas = []
     for (a0, a1), ca in alpha_terms:
-        eu_row = [_block_side(a0, nu_even, p) for nu_even in nu_evens]
-        ou_row = [_block_side(a1, lam_odd, q) for lam_odd in lam_odds]
+        eu_row = _levi_row(a0, mq, q, _SIGMA_DUAL, p)
+        ou_row = _levi_row(a1, p, nq, _SIGMA_T_DUAL, q)
         alphas.append((ca, eu_row, _reach(eu_row), ou_row))
     betas = []
-    for (w0, w1), cb in beta_terms:
-        b0, b1 = dual_weight(w0), dual_weight(w1)
-        el_row = [_block_side(b0, lam_even, 0) for _, lam_even, _ in lams]
-        ol_row = [_block_side(b1, nu_odd, 0) for _, _, nu_odd in nus]
+    for (b0, b1), cb in beta_terms:
+        el_row = _levi_row(b0, p, nq, _SIGMA, 0)
+        ol_row = _levi_row(b1, mq, q, _SIGMA_T, 0)
         betas.append((cb, el_row, ol_row, _reach(ol_row)))
 
     for ca, eu_row, eu_reach, ou_row in alphas:
         for cb, el_row, ol_row, ol_reach in betas:
             mult = ca * cb
-            for (lam_size, _, _), even_lower_side, odd_upper_side in zip(lams, el_row, ou_row):
+            for lam_shape, even_lower_side, odd_upper_side in zip(lams, el_row, ou_row):
                 # upper is the quotient block, lower the sub block; bit j
                 # stands for the cell of nus[j], walked in ascending j
                 cells = 0
@@ -300,7 +348,7 @@ def _e1_terms(spec: BundleSpec) -> Dict[Tuple[int, int], Dict[Tuple[GLWeight, GL
                     low = cells & -cells
                     cells ^= low
                     j = low.bit_length() - 1
-                    ext_deg = lam_size + nus[j][0]
+                    ext_deg = lam_shape[0] + nus[j][0]
                     odd_parts = _levi_bott_pairs(odd_upper_side, ol_row[j])
                     for d0, w0, c0 in _levi_bott_pairs(eu_row[j], even_lower_side):
                         c0 *= mult
@@ -335,8 +383,9 @@ def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
     the parity-shifted space C^{n|m} with both shapes transposed, so there
     the character is computed on n|m and its two blocks are swapped back.
     """
-    series = structure_sheaf_hilbert(spec)
-    if hypothesis_case(spec) is HypothesisCase.CASE1:
+    case = hypothesis_case(spec)
+    series = _structure_sheaf_hilbert(spec, case)
+    if case is HypothesisCase.CASE1:
         base = rational_schur_char(spec.alpha, spec.beta, spec.d)
     else:
         shifted = rational_schur_char(

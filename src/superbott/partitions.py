@@ -128,7 +128,14 @@ class SkewShape:
 
 
 def partitions_of(n: int, max_length: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
-    """All partitions of n with the given bounds, in lex-decreasing order."""
+    """All partitions of n with the given bounds, in lex-decreasing order.
+
+    A loop, not a recursion, so any number of rows is fine.  Rows are filled
+    greedily; after each partition the deepest row that can be lowered by
+    one is lowered, and the rows below it are filled again.  A row of value
+    v with ``rows_left`` rows from it down can complete the ``remaining``
+    cells iff v * rows_left >= remaining, and a greedy fill never fails.
+    """
     if max_length is None:
         max_length = n
     if max_part is None:
@@ -138,21 +145,24 @@ def partitions_of(n: int, max_length: int | None = None, max_part: int | None = 
     if n == 0:
         yield Partition()
         return
-
-    def rec(remaining: int, prev: int, rows_left: int, acc: list[int]) -> Iterator[Partition]:
-        if remaining == 0:
+    acc: list[int] = []
+    remaining, rows_left, v = n, max_length, min(max_part, n)
+    while True:
+        if v >= 1 and v * rows_left >= remaining:
+            while remaining:
+                v = min(v, remaining)
+                acc.append(v)
+                remaining -= v
+                rows_left -= 1
             yield _trusted(acc)
-            return
-        if rows_left == 0:
-            return
-        for v in range(min(prev, remaining), 0, -1):
-            if v * rows_left < remaining:
+        while acc:
+            v = acc.pop() - 1
+            remaining += v + 1
+            rows_left += 1
+            if v >= 1 and v * rows_left >= remaining:
                 break
-            acc.append(v)
-            yield from rec(remaining - v, v, rows_left - 1, acc)
-            acc.pop()
-
-    yield from rec(n, max_part, max_length, [])
+        else:
+            return
 
 
 def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
@@ -162,16 +172,24 @@ def partitions_in_box(rows: int, cols: int) -> Iterator[Partition]:
 
 
 def subpartitions(lam: Partition) -> Iterator[Partition]:
-    """All partitions contained in lam."""
+    """All partitions contained in lam, in decreasing tuple order.
+
+    So a shape comes before its prefixes.  A loop, not a recursion, so any
+    number of rows is fine: every row below the last is filled with the
+    largest value allowed; then the last row is lowered by one if it is
+    above 1, or else dropped, which ends the shape one row higher.
+    """
     lam = Partition(lam)
-
-    def rec(i: int, prev: int, acc: list[int]) -> Iterator[Partition]:
-        if i < len(lam):
-            for v in range(min(prev, lam[i]), 0, -1):
-                acc.append(v)
-                yield from rec(i + 1, v, acc)
-                acc.pop()
-        # rows i and below empty: the shape ends here, with no zero rows
+    acc: list[int] = []
+    while True:
+        while len(acc) < len(lam):
+            acc.append(min(acc[-1], lam[len(acc)]) if acc else lam[0])
         yield _trusted(acc)
-
-    yield from rec(0, lam[0] if lam else 0, [])
+        while acc:
+            v = acc.pop()
+            if v > 1:
+                acc.append(v - 1)
+                break
+            yield _trusted(acc)
+        else:
+            return

@@ -6,26 +6,38 @@ import pkgutil
 import pytest
 
 import superbott
+from superbott import cli
 from superbott.characters import rational_tensor, skew_expand
+from superbott.cohomology import BundleSpec, HypothesisCase, hypothesis_case
 from superbott.oracle import schur_monomials
 from superbott.partitions import Partition, SkewShape
 from superbott.qseries import flag_poincare
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 
 
-def test_every_functools_cache_is_bounded():
-    maxsizes = {}
+def package_caches():
+    """Every functools cache of the package, by module.name."""
+    caches = {}
     for info in pkgutil.iter_modules(superbott.__path__):
         module = importlib.import_module(f"superbott.{info.name}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_info"):
-                maxsizes[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+                caches[f"{info.name}.{name}"] = value
+    return caches
+
+
+def test_every_functools_cache_is_bounded():
+    caches = package_caches()
+    maxsizes = {name: cache.cache_parameters()["maxsize"] for name, cache in caches.items()}
     assert {
         "characters._lr_count",
         "characters._polynomial_product",
         "characters._rational_tensor_cached",
         "cohomology._block_side",
         "cohomology._box_shapes",
+        "cohomology._dual_terms",
+        "cohomology._levi_bott_pairs",
+        "cohomology._levi_row",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
         "superschur._odd_factors",
@@ -67,3 +79,52 @@ def test_memoized_results_are_not_aliased():
     assert first.coeffs == {0: 1, 2: 1, 4: 1}
     first.coeffs.clear()
     assert flag_poincare((2, 1)).coeffs == {0: 1, 2: 1, 4: 1}
+
+
+# (p, q), (m, n), alpha, beta: the four rungs of the benchmark ladder (the
+# third is CASE2, the others CASE1), then eight CASE2 bundles of the verify
+# grid; the first page of the first six differs from the closed form
+WARM_COLD_BUNDLES = [
+    ((2, 1), (9, 4), "[2,1]", "[1]"),
+    ((3, 2), (12, 6), "[2,1]", "[1]"),
+    ((2, 4), (6, 14), "[2,1]", "[1]"),
+    ((4, 2), (14, 6), "[2,2]", "[1,1]"),
+    ((1, 2), (2, 4), "[1]", "[1]"),
+    ((1, 2), (2, 7), "[1,1]", "[1,1,1]"),
+    ((2, 4), (3, 6), "[1,1,1]", "[2]"),
+    ((1, 4), (3, 7), "[1,1]", "[2]"),
+    ((1, 2), (4, 7), "[2,1]", "[1]"),
+    ((3, 4), (4, 7), "[2]", "[1]"),
+    ((1, 3), (4, 7), "[1,1]", "[]"),
+    ((0, 2), (1, 6), "[3]", "[2,1]"),
+]
+
+
+def test_warm_and_cold_memos_give_the_same_bytes(capsys):
+    # the first page and the cross-check read every memo of the package;
+    # recomputed from empty memos, in the reverse order, they print the
+    # same bytes
+    runs = []
+    for (p, q), (m, n), alpha, beta in WARM_COLD_BUNDLES:
+        spec = BundleSpec(p, q, SuperDim(m, n), Partition.parse(alpha), Partition.parse(beta))
+        assert hypothesis_case(spec) is (HypothesisCase.CASE1 if m > n else HypothesisCase.CASE2)
+        bundle = ["--grass", f"{p},{q}", "--dim", f"{m},{n}", "--alpha", alpha, "--beta", beta]
+        runs += [["--output", "json", "e1", *bundle], ["--output", "json", "verify", *bundle]]
+
+    def outputs(argvs):
+        got = []
+        for argv in argvs:
+            code = cli.run(argv)
+            got.append((code, capsys.readouterr()))
+        return got
+
+    warm = outputs(runs)
+    assert {code for code, _ in warm} == {0, 2}
+    caches = package_caches()
+    for cache in caches.values():
+        cache.cache_clear()
+    cold = outputs(runs[::-1])[::-1]
+    assert cold == warm
+    for name in ("_dual_terms", "_levi_bott_pairs", "_levi_row"):
+        info = caches[f"cohomology.{name}"].cache_info()
+        assert info.misses > 0 and info.hits > 0, name

@@ -220,12 +220,34 @@ def test_recursion_depth_on_long_shapes_exit_2():
     proc = run_module("superbott", "lr", "[]", "[1000]", "[1000]")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
-    # the partition enumerations still recurse once per row; 1000 rows exceed the default limit
-    column = "[" + ",".join(["1"] * 1000) + "]"
-    proc = run_module("superbott", "char-super", "--shape", column, "--dim", "1,1")
+    # the strip search of LR products still recurses once per row: the odd
+    # side multiplies a 999-row column on GL(1000), past the default limit
+    proc = run_module(
+        "superbott", "char-rational", "--alpha", "[1]", "--beta", "[1]", "--dim", "1,1000"
+    )
     assert proc.returncode == 2
     assert json.loads(proc.stderr)["type"] == "RecursionError"
     assert "Traceback" not in proc.stderr
+
+
+def test_char_super_on_a_1000_row_column():
+    # the partition enumerations are loops, so a shape of 1000 rows is fine:
+    # Lambda^1000 C^(1|1) is S^1000 of the odd line plus the even line times
+    # S^999 of the odd line
+    column = "[" + ",".join(["1"] * 1000) + "]"
+    proc = run_module(
+        "superbott", "--output", "json", "char-super", "--shape", column, "--dim", "1,1"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "m": 1,
+        "n": 1,
+        "terms": [
+            {"mult": 1, "w0": [0], "w1": [1000]},
+            {"mult": 1, "w0": [1], "w1": [999]},
+        ],
+        "total_dim": "2",
+    }
 
 
 def readme_cli_examples():

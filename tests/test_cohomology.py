@@ -70,6 +70,26 @@ def test_structure_sheaf_hilbert():
         structure_sheaf_hilbert(bundle(1, 1, 2, 2, alpha=(2,)))
 
 
+def test_main_theorem_char_decides_the_hypothesis_case_once(monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return hypothesis_case(spec)
+
+    monkeypatch.setattr(superbott.cohomology, "hypothesis_case", counted)
+    specs = [
+        bundle(1, 1, 3, 2, alpha=(2,)),
+        bundle(0, 1, 1, 3, alpha=(1,)),
+        FlagSpec(steps=((1, 0), (2, 1)), d=SuperDim(4, 2), alpha=(1,)),
+    ]
+    for spec in specs:
+        main_theorem_char(spec)
+    with pytest.raises(HypothesisError, match="hypothesis not satisfied"):
+        main_theorem_char(bundle(1, 1, 2, 2, alpha=(2,)))
+    assert len(calls) == 4
+
+
 def sym_top_terms(d):
     # Sym^d V0 + Sym^{d-1} V0 (x) V1 + Sym^{d-2} V0 (x) wedge^2 V1 in 3|2
     return {
@@ -181,17 +201,17 @@ def test_e1_page_matches_blockwise_reference():
     assert e1_page(spec) == reference_e1_page(spec)
 
 
-COUNT_LEVI_BOTT = """
+COUNT_BOTT_PAIRS = """
 import json
 from superbott import cohomology
 from superbott.superschur import SuperDim
 calls = 0
-levi_bott = cohomology.levi_bott
+pairs = cohomology._levi_bott_pairs
 def counted(*args):
     global calls
     calls += 1
-    return levi_bott(*args)
-cohomology.levi_bott = counted
+    return pairs(*args)
+cohomology._levi_bott_pairs = counted
 counts = []
 for p, q, m, n in ((2, 1, 9, 4), (3, 2, 12, 6)):
     calls = 0
@@ -202,20 +222,20 @@ print(json.dumps(counts))
 
 
 def test_levi_bott_runs_on_every_surviving_cell_and_no_other():
-    # levi_bott runs on each surviving block pair of each cell the page
-    # visits, so skipping a cell that survives on both sides, or visiting
-    # one that survives on one side only, moves these counts on two rungs
-    # of the benchmark ladder
+    # Bott's pair lookup runs once per side of each cell the page visits,
+    # memoized or not, so skipping a cell that survives on both sides, or
+    # visiting one that survives on one side only, moves these counts (twice
+    # the surviving cells) on two rungs of the benchmark ladder
     src = str(Path(superbott.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", COUNT_LEVI_BOTT],
+        [sys.executable, "-c", COUNT_BOTT_PAIRS],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [281, 1449]
+    assert json.loads(proc.stdout) == [234, 1160]
 
 
 def test_e1_bigraded_totals_match():

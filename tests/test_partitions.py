@@ -123,6 +123,25 @@ def test_subpartitions():
     }
 
 
+def test_enumerations_run_in_decreasing_order_without_recursion():
+    # Both enumerations yield in decreasing tuple order, a shape before its
+    # prefixes; callers build ordered dicts from them, so the order is part
+    # of the contract.  They are loops, so 1000 rows are no deeper than one.
+    for n in range(9):
+        for max_length in range(n + 2):
+            for max_part in range(n + 2):
+                got = list(partitions_of(n, max_length, max_part))
+                assert got == sorted(set(got), reverse=True)
+                assert all(lam.length <= max_length and lam.part(0) <= max_part for lam in got)
+        for lam in partitions_of(n):
+            got = list(subpartitions(lam))
+            assert got == sorted(set(got), reverse=True)
+            assert all(contains(mu, lam) for mu in got)
+    column = Partition((1,) * 1000)
+    assert list(partitions_of(1000, max_part=1)) == [column]
+    assert list(subpartitions(column)) == [Partition((1,) * k) for k in range(1000, -1, -1)]
+
+
 def test_internally_built_shapes_are_valid_partitions():
     lam = Partition((3, 1))
     assert Partition(lam) is lam
