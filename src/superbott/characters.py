@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from math import prod
 from typing import Dict, Iterable, Tuple
 
 from .errors import SuperbottError
@@ -33,13 +34,21 @@ def dual_weight(w: GLWeight) -> GLWeight:
 
 
 def weyl_dim(w: GLWeight) -> int:
-    """Dimension of the GL(m) irrep with highest weight w."""
+    """Dimension of the GL(m) irrep with highest weight w.
+
+    Weyl's product of (w_i - w_j + j - i) / (j - i) over i < j, taken run
+    by run: inside a run of equal entries every factor is 1, and a row i
+    above a run on rows [s, e) with d = w_i - w_s gives the factors
+    (d + t) / t for t from s - i to e - i - 1.
+    """
     m = len(w)
+    bounds = [s for s in range(1, m) if w[s] != w[s - 1]] + [m]
     num = den = 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            num *= w[i] - w[j] + j - i
-            den *= j - i
+    for s, e in zip(bounds, bounds[1:]):
+        for i in range(s):
+            d = w[i] - w[s]
+            num *= prod(d + t for t in range(s - i, e - i))
+            den *= prod(range(s - i, e - i))
     dim, rem = divmod(num, den)
     if rem:
         raise SuperbottError(f"Weyl dimension of {w} is not an integer")
@@ -81,31 +90,43 @@ def _add_strip(
     # so this covers every r < rows
     above = list(accumulate(prev, initial=0)) if prev is not None else None
     counts = [0] * rows
+    lows = [0] * rows
     floor = old[rows - 1]
-
-    def rec(r: int, left: int) -> None:
+    # a depth-first walk over rows, c descending from its cap in each row;
+    # lows[r] is the least c that row r may take
+    r, left = 0, k
+    while True:
         if left == 0:
             new = [old[s] + counts[s] for s in range(rows)]
             if new[-1] == 0:
                 new.pop()
             key = (tuple(new), tuple(counts))
             into[key] = into.get(key, 0) + mult
+        elif r < rows:
+            cap = left
+            if above is not None:
+                cap = min(cap, above[r] - (k - left))  # lattice rule
+            if r:
+                cap = min(cap, old[r - 1] - old[r])  # horizontal strip
+            # the rows below r take at most old[r] - floor cells
+            lo = max(left - (old[r] - floor), 0) if r + 1 < rows else left
+            if cap >= lo:
+                counts[r], lows[r] = cap, lo
+                left -= cap
+                r += 1
+                continue
+        # back up to the deepest row that can take one cell fewer
+        while r:
+            r -= 1
+            if counts[r] > lows[r]:
+                counts[r] -= 1
+                left += 1
+                r += 1
+                break
+            left += counts[r]
+            counts[r] = 0
+        else:
             return
-        if r == rows:
-            return
-        cap = left
-        if above is not None:
-            cap = min(cap, above[r] - (k - left))  # lattice rule
-        if r:
-            cap = min(cap, old[r - 1] - old[r])  # horizontal strip
-        # the rows below r take at most old[r] - floor cells
-        lo = left - (old[r] - floor) if r + 1 < rows else left
-        for c in range(cap, max(lo, 0) - 1, -1):
-            counts[r] = c
-            rec(r + 1, left - c)
-        counts[r] = 0
-
-    rec(0, k)
 
 
 def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partition, int]:

@@ -1,19 +1,19 @@
 """Command-line front end: character computations and verifications in batch.
 
-Exit codes: 0 on success, 2 when a mathematical precondition fails or an
-LR product reaches a shape with too many rows (about 990) for its strip
-search, which recurses once per row (with a JSON error object on stderr),
-1 on malformed input.  Skew shapes are expanded cell by cell and partitions
-enumerated in loops, so a long row or column is no error there.  All JSON
-output is canonical (sorted keys, no whitespace, no floats) so that parse +
-re-emit is byte-identical; dimensions are decimal strings since they
-overflow 64-bit integers quickly.
+Exit codes: 0 on success, 2 when a mathematical precondition fails (with a
+JSON error object on stderr), 1 on malformed input or when the reader of
+stdout closes it early (with no traceback).  Every search over shapes is a
+loop, so a long row or column is no error.  All JSON output is canonical
+(sorted keys, no whitespace, no floats) so that parse + re-emit is
+byte-identical; dimensions are decimal strings since they overflow 64-bit
+integers quickly.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -238,7 +238,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (PreconditionError, RecursionError) as exc:
+    except PreconditionError as exc:
         _emit_json({"error": str(exc), "type": type(exc).__name__}, file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -247,7 +247,15 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

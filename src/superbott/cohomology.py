@@ -13,11 +13,10 @@ converges to; the first page need not degenerate, so it may carry more.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from math import comb
-from typing import Callable, ClassVar, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
 from .characters import (
@@ -29,7 +28,7 @@ from .characters import (
     rational_tensor,
 )
 from .errors import HypothesisError, TermLimitError
-from .partitions import Partition, partitions_in_box
+from .partitions import Partition, _Value, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
 from .superschur import SuperDim, _super_schur_terms, rational_schur_char
 
@@ -57,22 +56,23 @@ class HypothesisCase(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class BundleSpec:
+class BundleSpec(_Value):
     """A Schur-functor bundle on the super Grassmannian of rank p|q planes."""
 
-    hypothesis_message: ClassVar[str] = "main theorem hypothesis not satisfied"
+    hypothesis_message = "main theorem hypothesis not satisfied"
 
-    p: int
-    q: int
-    d: SuperDim
-    alpha: Partition = Partition()
-    beta: Partition = Partition()
+    __slots__ = ("p", "q", "d", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Partition(self.alpha))
-        object.__setattr__(self, "beta", Partition(self.beta))
-        if not (0 <= self.p <= self.d.m and 0 <= self.q <= self.d.n):
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        d: SuperDim,
+        alpha: Partition = Partition(),
+        beta: Partition = Partition(),
+    ) -> None:
+        self._init(p, q, d, Partition(alpha), Partition(beta))
+        if not (0 <= p <= d.m and 0 <= q <= d.n):
             raise ValueError("sub-bundle ranks out of range")
 
     @property
@@ -89,21 +89,21 @@ class BundleSpec:
         return self.d.n
 
 
-@dataclass(frozen=True)
-class FlagSpec:
+class FlagSpec(_Value):
     """A Schur-functor bundle on a super partial flag variety."""
 
-    hypothesis_message: ClassVar[str] = "partial flag chain condition not satisfied"
+    hypothesis_message = "partial flag chain condition not satisfied"
 
-    steps: Tuple[Tuple[int, int], ...]
-    d: SuperDim
-    alpha: Partition = Partition()
-    beta: Partition = Partition()
+    __slots__ = ("steps", "d", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple((int(p), int(q)) for p, q in self.steps))
-        object.__setattr__(self, "alpha", Partition(self.alpha))
-        object.__setattr__(self, "beta", Partition(self.beta))
+    def __init__(
+        self,
+        steps: Tuple[Tuple[int, int], ...],
+        d: SuperDim,
+        alpha: Partition = Partition(),
+        beta: Partition = Partition(),
+    ) -> None:
+        self._init(tuple((int(p), int(q)) for p, q in steps), d, Partition(alpha), Partition(beta))
         if not self.steps:
             raise ValueError("flag needs at least one step")
         chain = list(self.steps) + [(self.d.m, self.d.n)]
@@ -399,14 +399,21 @@ def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
     return gc
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(_Value):
     """Outcome of cross-checking the two pipelines on one bundle."""
 
-    spec: BundleSpec
-    matches: bool
-    diffs: Dict[int, VirtualCharacter] = field(default_factory=dict)
-    possibly_nondegenerate: bool = False
+    __slots__ = ("spec", "matches", "diffs", "possibly_nondegenerate")
+    __setattr__ = object.__setattr__
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        spec: BundleSpec,
+        matches: bool,
+        diffs: Dict[int, VirtualCharacter] | None = None,
+        possibly_nondegenerate: bool = False,
+    ) -> None:
+        self._init(spec, matches, {} if diffs is None else diffs, possibly_nondegenerate)
 
 
 def verify_main_theorem(spec: BundleSpec) -> VerifyReport:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -106,16 +105,47 @@ def row_sum(lam: Partition, mu: Partition) -> Partition:
     return Partition(lam.part(i) + mu.part(i) for i in range(n))
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class _Value:
+    """Base of the value classes: the fields are the ``__slots__``, set once
+    by ``_init``, compared and hashed only within one exact type, and printed
+    like a dataclass.  Assignment raises AttributeError unless a class
+    restores ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class SkewShape(_Value):
     """A skew shape outer/inner with inner contained in outer."""
 
-    outer: Partition
-    inner: Partition
+    __slots__ = ("outer", "inner")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", Partition(self.outer))
-        object.__setattr__(self, "inner", Partition(self.inner))
+    def __init__(self, outer: Partition, inner: Partition) -> None:
+        self._init(Partition(outer), Partition(inner))
         if not contains(self.inner, self.outer):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 

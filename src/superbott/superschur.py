@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -19,18 +18,17 @@ from .characters import (
     pad_weight,
 )
 from .errors import PreconditionError
-from .partitions import Partition, contains, partitions_in_box, subpartitions
+from .partitions import Partition, _Value, contains, partitions_in_box, subpartitions
 
 
-@dataclass(frozen=True)
-class SuperDim:
+class SuperDim(_Value):
     """Dimension pair m|n of a super vector space."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int) -> None:
+        self._init(m, n)
+        if m < 0 or n < 0:
             raise ValueError("dimensions must be nonnegative")
 
     def shifted(self) -> "SuperDim":

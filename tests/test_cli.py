@@ -191,15 +191,16 @@ def test_cohom_verify_json_is_one_object(capsys, dim, alpha, code):
         assert payload == {}
 
 
-def run_module(*argv):
+def child_env():
     # the child finds the package where this process imported it from
     src = str(Path(superbott.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_module(*argv):
     return subprocess.run(
-        [sys.executable, "-m", *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-m", *argv], capture_output=True, text=True, env=child_env()
     )
 
 
@@ -215,19 +216,49 @@ def test_package_runs_as_module():
     assert proc.stdout.strip() == '{"value":2}'
 
 
-def test_recursion_depth_on_long_shapes_exit_2():
+def test_long_shapes_and_large_ranks_exit_0():
     # the skew LR search walks its cells in a loop, so 1000 cells are fine
     proc = run_module("superbott", "lr", "[]", "[1000]", "[1000]")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1"
-    # the strip search of LR products still recurses once per row: the odd
-    # side multiplies a 999-row column on GL(1000), past the default limit
-    proc = run_module(
-        "superbott", "char-rational", "--alpha", "[1]", "--beta", "[1]", "--dim", "1,1000"
+    # the strip search of LR products is a loop too: the odd side multiplies
+    # a 999-row column on GL(1000); the traceless part of C^(1|1000) x its
+    # dual has total dim 1001^2 - 1.  Weyl dimensions go by runs of equal
+    # entries, so rank 1000 on either side is quick.
+    for dim, total in (("1,1000", "1002000"), ("1000,0", "999999")):
+        argv = ["--output", "json", "char-rational", "--alpha", "[1]", "--beta", "[1]"]
+        proc = run_module("superbott", *argv, "--dim", dim)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["total_dim"] == total
+
+
+def test_closed_stdout_ends_without_traceback():
+    # as in `superbott ... | head -c 100`, but with the reader gone before
+    # the first write, so the pipe breaks on every run
+    argv = ["--output", "json", "char-rational", "--alpha", "[1]", "--beta", "[1]"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superbott", *argv, "--dim", "300,0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
     )
-    assert proc.returncode == 2
-    assert json.loads(proc.stderr)["type"] == "RecursionError"
-    assert "Traceback" not in proc.stderr
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys; before = set(sys.modules); import superbott.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_char_super_on_a_1000_row_column():

@@ -15,6 +15,7 @@ from superbott.cohomology import (
     BundleSpec,
     FlagSpec,
     HypothesisCase,
+    VerifyReport,
     _box_shapes,
     e1_bigraded,
     e1_page,
@@ -26,7 +27,7 @@ from superbott.cohomology import (
 from superbott.bott import LeviWeight, grassmannian_cohomology, kunneth
 from superbott.characters import GradedCharacter, dual_weight, pad_weight, rational_tensor
 from superbott.errors import HypothesisError, TermLimitError
-from superbott.partitions import partitions_in_box, partitions_of
+from superbott.partitions import Partition, SkewShape, partitions_in_box, partitions_of
 from superbott.qseries import HilbertSeries, q_factorial
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 
@@ -49,6 +50,53 @@ def test_flag_spec_validation():
         FlagSpec(steps=((2, 1), (1, 2)), d=SuperDim(3, 3))
     with pytest.raises(ValueError, match="strictly increase"):
         FlagSpec(steps=((3, 3),), d=SuperDim(3, 3))
+
+
+def test_value_classes_compare_by_type_and_freeze():
+    d = SuperDim(4, 2)
+    spec = BundleSpec(1, 1, d, (2, 1), (1,))
+    flag = FlagSpec(((1, 1),), d, (2, 1), (1,))
+    skew = SkewShape((3, 2), (1,))
+    # positional and keyword construction give equal objects with equal hashes
+    for a, b in (
+        (spec, BundleSpec(p=1, q=1, d=SuperDim(m=4, n=2), alpha=Partition((2, 1)), beta=[1])),
+        (flag, FlagSpec(steps=[[1, 1]], d=d, alpha=(2, 1), beta=(1,))),
+        (skew, SkewShape(outer=Partition((3, 2)), inner=[1])),
+        (d, SuperDim(m=4, n=2)),
+    ):
+        assert a == b and hash(a) == hash(b) and not a != b
+    assert spec != BundleSpec(1, 1, d, (2, 1)) and d != d.shifted()
+    # equality is by exact type: not a tuple of the same fields, nor a flag
+    assert spec != (1, 1, d, Partition((2, 1)), Partition((1,))) and d != (4, 2)
+    assert spec != flag and flag.steps == spec.steps
+    assert repr(spec) == (
+        "BundleSpec(p=1, q=1, d=SuperDim(m=4, n=2), alpha=Partition((2, 1)), beta=Partition((1,)))"
+    )
+    assert spec.hypothesis_message == "main theorem hypothesis not satisfied"
+    assert FlagSpec.hypothesis_message == "partial flag chain condition not satisfied"
+    for obj, field in ((spec, "p"), (flag, "steps"), (skew, "inner"), (d, "m")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert (spec.p, flag.steps, skew.inner, d.m) == (1, ((1, 1),), (1,), 4)
+    # the report stays mutable, compares field by field and is unhashable
+    report = VerifyReport(spec, True)
+    assert report == VerifyReport(spec=spec, matches=True, diffs={}, possibly_nondegenerate=False)
+    report.matches = False
+    assert report != VerifyReport(spec, True)
+    with pytest.raises(TypeError):
+        hash(report)
+    for build, message in (
+        (lambda: bundle(3, 0, 2, 1), "sub-bundle ranks out of range"),
+        (lambda: FlagSpec((), d), "flag needs at least one step"),
+        (lambda: FlagSpec(((2, 1), (1, 2)), d), "steps must strictly increase in the product order"),
+        (lambda: SuperDim(-1, 0), "dimensions must be nonnegative"),
+        (lambda: SkewShape((1,), (2,)), "inner [2] not contained in outer [1]"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
 
 
 def test_hypothesis_case():
