@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
+from operator import neg
 from typing import Dict, Iterable, Tuple
 
 from .errors import SuperbottError
@@ -30,7 +31,7 @@ def pad_weight(lam: Partition, m: int) -> GLWeight:
 
 def dual_weight(w: GLWeight) -> GLWeight:
     """Highest weight of the dual irrep: negate and reverse."""
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, w[::-1]))
 
 
 def weyl_dim(w: GLWeight) -> int:

@@ -127,9 +127,8 @@ def lr_bruteforce(lam, mu, nu) -> int:
 def _jt_det(h: Sequence[Fraction], gamma: Tuple[int, ...], inner: Partition) -> Fraction:
     """Jacobi-Trudi determinant det h(gamma_j - inner_i - j + i), every entry read from h."""
     n = len(gamma)
-    zero = Fraction(0)
     mat = [
-        [h[k] if k >= 0 else zero for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
+        [h[k] if k >= 0 else 0 for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
         for i in range(n)
     ]
     return _fraction_det(mat)
@@ -187,21 +186,26 @@ def _weight_values(weights, values: Sequence[Fraction]) -> Dict[Tuple[int, ...],
     """Evaluate rational GL characters of one rank at the same points.
 
     Each weight w is shifted by k = max(0, -min(w)) into a partition gamma.
-    Every Jacobi-Trudi determinant reads one h table, sized for the largest
-    gamma_1 + l(gamma) - 1, and the shift is undone by dividing by the k-th
-    power of the product of the values.
+    The points are scaled by the lcm D of their denominators to integers;
+    h_j is homogeneous of degree j, so the Jacobi-Trudi determinant of gamma
+    at the scaled points is D^|gamma| times the one at the points.  Every
+    determinant reads one integer h table, sized for the largest
+    gamma_1 + l(gamma) - 1, and each value is divided once, by D^|gamma|
+    times the k-th power of the product of the points.
     """
+    values = [Fraction(x) for x in values]
     shifted = {}
     for w in weights:
         if len(w) != len(values):
             raise ValueError("need one value per weight entry")
         shifted[w] = _shift(w)
-    h = _h_table(max([0] + [g.part(0) + g.length - 1 for _, g in shifted.values()]), values)
-    prod = math.prod(map(Fraction, values))
+    scale = math.lcm(*(x.denominator for x in values))
+    top = max([0] + [g.part(0) + g.length - 1 for _, g in shifted.values()])
+    h = _h_table(top, [x.numerator * (scale // x.denominator) for x in values])
+    prod = math.prod(values)
     out = {}
     for w, (k, gamma) in shifted.items():
-        value = _jt_det(h, gamma, Partition())
-        out[w] = value / prod**k if k else value
+        out[w] = _jt_det(h, gamma, Partition()) / (scale**gamma.size * prod**k)
     return out
 
 

@@ -17,8 +17,10 @@ class Partition(tuple):
         if type(parts) is cls:
             return parts
         parts = tuple(int(p) for p in parts)
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
+        end = len(parts)
+        while end and parts[end - 1] == 0:
+            end -= 1
+        parts = parts[:end]
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative: {parts}")
         for a, b in zip(parts, parts[1:]):

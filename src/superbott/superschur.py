@@ -42,9 +42,15 @@ class SuperWeight(NamedTuple):
     odd: GLWeight
 
 
-# Odd factors of one shape on GL(n): (alpha, ((delta padded to n, c), ...))
-# pairs with c = c^lam_{alpha, delta^T}, one per alpha.
-_OddFactors = Tuple[Tuple[Partition, Tuple[Tuple[GLWeight, int], ...]], ...]
+# One odd factor X_alpha on GL(n): ((delta padded to n, c), ...) with
+# c = c^lam_{alpha, delta^T}; the odd factors of one shape pair each alpha
+# with its factor.
+_OddFactor = Tuple[Tuple[GLWeight, int], ...]
+_OddFactors = Tuple[Tuple[Partition, _OddFactor], ...]
+
+# A product of odd factors: its weights and, in the same order, their
+# multiplicities.
+_OddProduct = Tuple[Tuple[GLWeight, ...], Tuple[int, ...]]
 
 # Terms of a restricted super Schur functor: ((w0, w1), multiplicity) pairs.
 _SuperTerms = Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]
@@ -66,6 +72,26 @@ def _odd_factors(lam: Partition, n: int) -> _OddFactors:
         if delta.length <= n:
             groups.setdefault(alpha, []).append((pad_weight(delta, n), c))
     return tuple((alpha, tuple(x)) for alpha, x in groups.items())
+
+
+@lru_cache(maxsize=16384)
+def _odd_product(x: _OddFactor, y: _OddFactor) -> _OddProduct:
+    """The GL(n) product X * Y^* of two odd factors, as two parallel tuples
+    (weights, multiplicities).
+
+    x and y are factors read from ``_odd_factors`` tables; y is dualized here.
+    The product depends on the two factors alone, and factors of different
+    shapes are often equal, so it is memoized for the 16384 most recently
+    used pairs.
+    """
+    odd: Dict[GLWeight, int] = {}
+    for gamma_w, c2 in y:
+        gamma_w = dual_weight(gamma_w)
+        for delta_w, c1 in x:
+            c12 = c1 * c2
+            for w1, c3 in _rational_tensor_cached(gamma_w, delta_w):
+                odd[w1] = odd.get(w1, 0) + c12 * c3
+    return tuple(odd), tuple(odd.values())
 
 
 @lru_cache(maxsize=1024)
@@ -130,34 +156,29 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
     c^mu_{beta, gamma^T} s_gamma^*.  Every coefficient is positive, so no
     term cancels and each is written once.
 
-    X_alpha is read from ``_odd_factors(lam, n)`` as it is and Y_beta from
-    ``_odd_factors(mu, n)`` dualized, so the LR work of a shape is shared
-    by every call on it.  w0 depends on alpha only through alpha and its
-    length, so each beta builds its tail (0, ..., 0, -beta reversed) once
-    per length of alpha.
+    X_alpha is read from ``_odd_factors(lam, n)`` and Y_beta from
+    ``_odd_factors(mu, n)``, so the LR work of a shape is shared by every
+    call on it, and their product from ``_odd_product``, so equal factors
+    of different shapes share one product.  w0 depends on alpha only
+    through alpha and its length, so each beta builds its tail
+    (0, ..., 0, -beta reversed) once per length of alpha.
     """
     lam, mu = Partition(lam), Partition(mu)
     m, n = d.m, d.n
     if m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
     xs = _odd_factors(lam, n)
-    lengths = {alpha.length for alpha, _ in xs}
+    lengths = {len(alpha) for alpha, _ in xs}
     terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
-    for beta, gammas in _odd_factors(mu, n):
-        y = [(dual_weight(gamma_w), c) for gamma_w, c in gammas]
+    for beta, y in _odd_factors(mu, n):
         tails = {k: classical_rational_weight((), beta, m - k) for k in lengths}
         for alpha, x in xs:
-            tail = tails[alpha.length]
+            tail = tails[len(alpha)]
             if tail is None:
                 continue
             w0 = alpha + tail
-            odd: Dict[GLWeight, int] = {}
-            for gamma_w, c2 in y:
-                for delta_w, c1 in x:
-                    c12 = c1 * c2
-                    for w1, c3 in _rational_tensor_cached(gamma_w, delta_w):
-                        odd[w1] = odd.get(w1, 0) + c12 * c3
-            for w1, c in odd.items():
+            weights, coeffs = _odd_product(x, y)
+            for w1, c in zip(weights, coeffs):
                 terms[w0, w1] = c
     return VirtualCharacter._trusted(m, n, terms)
 
@@ -205,9 +226,10 @@ def _h_table(top: int, evens: Sequence[Fraction], odds: Sequence[Fraction] = ())
     With no odd points these are the complete homogeneous polynomials of
     the evens; in general h_k is the character of Sym^k of the super space.
     Each even point is a forward running sum (a factor 1 / (1 - x t)), each
-    odd point a backward pass (a factor 1 + y t).
+    odd point a backward pass (a factor 1 + y t).  The table starts from
+    the integers 1 and 0, so integer points give an integer table.
     """
-    table = [Fraction(1)] + [Fraction(0)] * top
+    table = [1] + [0] * top
     for x in evens:
         for j in range(1, top + 1):
             table[j] += x * table[j - 1]
@@ -219,11 +241,12 @@ def _h_table(top: int, evens: Sequence[Fraction], odds: Sequence[Fraction] = ())
 
 def super_h(k: int, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Fraction:
     """Character of Sym^k of a super space, specialized at the given points."""
-    return _h_table(k, evens, odds)[k] if k >= 0 else Fraction(0)
+    return Fraction(_h_table(k, evens, odds)[k]) if k >= 0 else Fraction(0)
 
 
 def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of rationals, by fraction-free elimination.
+    """Determinant of a square matrix of rationals or integers, by
+    fraction-free elimination.
 
     Each row is scaled to integers by the lcm of its denominators. Bareiss
     elimination then divides exactly at every step (Bareiss, Math. Comp.

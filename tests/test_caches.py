@@ -6,13 +6,14 @@ import pkgutil
 import pytest
 
 import superbott
-from superbott import cli
+from superbott import characters, cli, superschur
 from superbott.characters import rational_tensor, skew_expand
 from superbott.cohomology import BundleSpec, HypothesisCase, hypothesis_case
 from superbott.oracle import schur_monomials
 from superbott.partitions import Partition, SkewShape
 from superbott.qseries import flag_poincare
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
+from test_superschur import RATIONAL_SCHUR_PINS
 
 
 def package_caches():
@@ -41,6 +42,7 @@ def test_every_functools_cache_is_bounded():
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
         "superschur._odd_factors",
+        "superschur._odd_product",
         "superschur._super_schur_terms",
     } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []
@@ -110,6 +112,11 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
         assert hypothesis_case(spec) is (HypothesisCase.CASE1 if m > n else HypothesisCase.CASE2)
         bundle = ["--grass", f"{p},{q}", "--dim", f"{m},{n}", "--alpha", alpha, "--beta", beta]
         runs += [["--output", "json", "e1", *bundle], ["--output", "json", "verify", *bundle]]
+    # two large closed forms, and the closed form of one CASE2 bundle alone
+    for alpha, beta, m, n in RATIONAL_SCHUR_PINS[:2]:
+        shapes = ["--alpha", str(Partition(alpha)), "--beta", str(Partition(beta)), "--dim", f"{m},{n}"]
+        runs.append(["--output", "json", "char-rational", *shapes])
+    runs.append(["--output", "json", "cohom", "--grass", "1,2", "--dim", "2,7", "--alpha", "[1,1]", "--beta", "[1,1,1]"])
 
     def outputs(argvs):
         got = []
@@ -125,6 +132,24 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
         cache.cache_clear()
     cold = outputs(runs[::-1])[::-1]
     assert cold == warm
-    for name in ("_dual_terms", "_levi_bott_pairs", "_levi_row"):
-        info = caches[f"cohomology.{name}"].cache_info()
+    for name in ("cohomology._dual_terms", "cohomology._levi_bott_pairs", "cohomology._levi_row", "superschur._odd_product"):
+        info = caches[name].cache_info()
         assert info.misses > 0 and info.hits > 0, name
+
+
+def test_odd_products_are_shared_by_content():
+    # X_alpha * Y_beta is keyed by the two factors, not by the shapes they
+    # come from, so equal factors of different (alpha, beta) share one
+    # product; the counts are those of the pinned closed forms from empty
+    # memos, in order
+    for cache in package_caches().values():
+        cache.cache_clear()
+    for alpha, beta, m, n in RATIONAL_SCHUR_PINS:
+        rational_schur_char(Partition(alpha), Partition(beta), SuperDim(m, n))
+    info = superschur._odd_product.cache_info()
+    assert (info.misses, info.hits) == (1271, 1343)
+    assert characters._rational_tensor_cached.cache_info().misses == 1218
+    # the value is two parallel tuples, which no caller can change
+    _, x = superschur._odd_factors(Partition((2, 1)), 2)[0]
+    weights, coeffs = superschur._odd_product(x, x)
+    assert type(weights) is tuple and type(coeffs) is tuple and len(weights) == len(coeffs) > 0

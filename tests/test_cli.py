@@ -232,6 +232,16 @@ def test_long_shapes_and_large_ranks_exit_0():
         assert json.loads(proc.stdout)["total_dim"] == total
 
 
+def test_char_rational_at_odd_rank_10000(capsys):
+    # the GL(10000) weights of the odd side end in 9,999 zeros, which the
+    # partition constructor strips in one slice; the traceless
+    # part of C^(1|10000) x its dual has total dim 10001^2 - 1
+    argv = ["--output", "json", "char-rational", "--alpha", "[1]", "--beta", "[1]", "--dim", "1,10000"]
+    code, out, _ = capture(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["total_dim"] == "100020000"
+
+
 def test_closed_stdout_ends_without_traceback():
     # as in `superbott ... | head -c 100`, but with the reader gone before
     # the first write, so the pipe breaks on every run

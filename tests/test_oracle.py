@@ -1,5 +1,6 @@
 import ast
 from collections import Counter
+from itertools import product
 from fractions import Fraction
 from pathlib import Path
 
@@ -113,6 +114,22 @@ def test_specialize_weight_negative_entries():
     assert specialize_weight((-1, -1), pts) == Fraction(1, 6)
     for w in [(1, -1), (2, 0), (0, -2), (3, -1)]:
         assert specialize_weight(w, pts) == specialize_weight_jt(w, pts)
+
+
+def test_specialize_weight_routes_agree_on_a_signed_grid():
+    # the Jacobi-Trudi route scales the points to integers; against the
+    # tableau route on every weight of rank <= 3 with entries in [-2, 2],
+    # at negative points and points with non-unit denominators
+    pts = (Fraction(-3, 2), Fraction(2, 5), Fraction(-7), Fraction(5, 6))
+    for rank in (1, 2, 3):
+        for start in range(len(pts) - rank + 1):
+            values = pts[start : start + rank]
+            for w in product(range(2, -3, -1), repeat=rank):
+                if list(w) != sorted(w, reverse=True):
+                    continue
+                got = specialize_weight_jt(w, values)
+                assert type(got) is Fraction
+                assert got == specialize_weight(w, values), (w, values)
 
 
 def _tableau_route(char, evens, odds):

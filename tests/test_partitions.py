@@ -19,6 +19,10 @@ def test_construction_strips_trailing_zeros():
     assert Partition((0, 0)) == Partition()
 
 
+def test_construction_strips_many_trailing_zeros_at_once():
+    assert Partition((1,) + (0,) * 50000) == Partition((1,))
+
+
 def test_construction_rejects_bad_input():
     with pytest.raises(ValueError):
         Partition((1, 2))
