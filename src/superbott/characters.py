@@ -306,8 +306,8 @@ class VirtualCharacter:
             if len(w0) != m or len(w1) != n:
                 raise ValueError("rank mismatch")
             break
-        out = cls(m, n)
-        out.terms = terms
+        out = cls.__new__(cls)
+        out.m, out.n, out.terms = m, n, terms
         return out
 
     def add_term(self, key: Tuple[GLWeight, GLWeight], mult: int) -> None:
@@ -439,10 +439,20 @@ class GradedCharacter:
         """
         if (char.m, char.n) != (self.m, self.n):
             raise ValueError("rank mismatch")
+        if mult:
+            self._add_terms(degree, {key: c * mult for key, c in char.terms.items()})
+
+    def _add_terms(self, degree: int, terms: Dict[Tuple[GLWeight, GLWeight], int]) -> None:
+        """Add terms that internal code built with this character's ranks and
+        no zero multiplicity in one degree; a new degree takes the dict, not
+        a copy, and an existing one merges it.
+        """
         vc = self.by_degree.get(degree)
         if vc is None:
-            vc = self.by_degree[degree] = VirtualCharacter(self.m, self.n)
-        _merge(vc.terms, char.terms, mult)
+            if terms:
+                self.by_degree[degree] = VirtualCharacter._trusted(self.m, self.n, terms)
+            return
+        _merge(vc.terms, terms, 1)
         if vc.is_zero():
             del self.by_degree[degree]
 
@@ -472,9 +482,15 @@ class GradedCharacter:
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("rank mismatch")
         out: Dict[int, VirtualCharacter] = {}
-        for deg in set(self.by_degree) | set(other.by_degree):
-            terms = dict(self.degree(deg).terms)
-            _merge(terms, other.degree(deg).terms, -1)
+        mine, theirs = self.by_degree, other.by_degree
+        for deg in set(mine) | set(theirs):
+            if deg not in theirs:
+                terms = dict(mine[deg].terms)
+            elif deg not in mine:
+                terms = {key: -c for key, c in theirs[deg].terms.items()}
+            else:
+                terms = dict(mine[deg].terms)
+                _merge(terms, theirs[deg].terms, -1)
             if terms:
                 out[deg] = VirtualCharacter._trusted(self.m, self.n, terms)
         return out

@@ -133,14 +133,15 @@ def _bundle(args) -> BundleSpec:
 
 def _cohom(args) -> int:
     spec = _bundle(args)
+    closed_form = main_theorem_char(spec)
     if not args.verify:
-        _emit(args, main_theorem_char(spec))
+        _emit(args, closed_form)
         return 0
-    report = verify_main_theorem(spec)
+    report = verify_main_theorem(spec, closed_form)
     if not report.matches:
         _emit(args, report)
         return 2
-    _emit(args, report, main_theorem_char(spec))
+    _emit(args, report, closed_form)
     return 0
 
 

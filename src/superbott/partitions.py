@@ -13,6 +13,8 @@ class Partition(tuple):
     passed in is returned as it is, since it was validated when made.
     """
 
+    __slots__ = ()
+
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts

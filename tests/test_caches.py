@@ -6,7 +6,7 @@ import pkgutil
 import pytest
 
 import superbott
-from superbott import characters, cli, superschur
+from superbott import characters, cli, cohomology, superschur
 from superbott.characters import rational_tensor, skew_expand
 from superbott.cohomology import BundleSpec, HypothesisCase, hypothesis_case
 from superbott.oracle import schur_monomials
@@ -36,9 +36,12 @@ def test_every_functools_cache_is_bounded():
         "characters._rational_tensor_cached",
         "cohomology._block_side",
         "cohomology._box_shapes",
+        "cohomology._closed_form_base",
         "cohomology._dual_terms",
+        "cohomology._interned",
         "cohomology._levi_bott_pairs",
         "cohomology._levi_row",
+        "cohomology._reach",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
         "superschur._odd_factors",
@@ -46,6 +49,18 @@ def test_every_functools_cache_is_bounded():
         "superschur._super_schur_terms",
     } <= set(maxsizes)
     assert [name for name, size in maxsizes.items() if size is None] == []
+    # a memoized _Reach keeps at most ANSWERS answers, and answers every
+    # mask alike: a position is reached when its side holds a block that
+    # shares no entry with the mask
+    row = cohomology._levi_row((2, 1, 0), 3, 2, cohomology._SIGMA_DUAL, 2)
+    reach = cohomology._Reach(row)
+    masks = range(1, reach.ANSWERS + 64)
+    for mask in masks:
+        assert reach.bits(mask) == sum(
+            1 << i for i, side in enumerate(row) if any(not other & mask for other, _, _ in side)
+        )
+    assert len(reach.answers) == reach.ANSWERS
+    assert [reach.bits(mask) for mask in masks] == [reach.bits(mask) for mask in masks]
 
 
 def test_memoized_results_are_not_aliased():
@@ -132,7 +147,15 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
         cache.cache_clear()
     cold = outputs(runs[::-1])[::-1]
     assert cold == warm
-    for name in ("cohomology._dual_terms", "cohomology._levi_bott_pairs", "cohomology._levi_row", "superschur._odd_product"):
+    for name in (
+        "cohomology._closed_form_base",
+        "cohomology._dual_terms",
+        "cohomology._interned",
+        "cohomology._levi_bott_pairs",
+        "cohomology._levi_row",
+        "cohomology._reach",
+        "superschur._odd_product",
+    ):
         info = caches[name].cache_info()
         assert info.misses > 0 and info.hits > 0, name
 
@@ -153,3 +176,18 @@ def test_odd_products_are_shared_by_content():
     _, x = superschur._odd_factors(Partition((2, 1)), 2)[0]
     weights, coeffs = superschur._odd_product(x, x)
     assert type(weights) is tuple and type(coeffs) is tuple and len(weights) == len(coeffs) > 0
+
+
+def test_equal_bott_weights_are_one_object():
+    # the Bott memo interns what it keeps: two different pairs of block
+    # sides, (1 | 0) at degree 0 and (0 | 1) at degree 1, both give the
+    # weight (0, 0), and the two results hold one tuple for it
+    for cache in package_caches().values():
+        cache.cache_clear()
+    pairs = cohomology._levi_bott_pairs
+    side = cohomology._block_side
+    ((d1, w1, _),) = pairs(side((0,), (0,), 1), side((0,), (0,), 0))
+    ((d2, w2, _),) = pairs(side((-1,), (0,), 1), side((1,), (0,), 0))
+    assert (d1, d2) == (0, 1)
+    assert w1 == w2 == (0, 0)
+    assert w1 is w2

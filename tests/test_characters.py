@@ -283,6 +283,29 @@ def test_graded_character_diff():
         a.diff(GradedCharacter(2, 0))
 
 
+def test_graded_character_diff_copies_one_sided_degrees():
+    # a degree only self has is copied, one only other has is negated, and
+    # one both have is merged; no degree of the result aliases an input
+    a = GradedCharacter(1, 1)
+    a.add_term(0, ((2,), (0,)), 3)
+    a.add_term(1, ((1,), (1,)), 1)
+    a.add_term(1, ((0,), (0,)), 2)
+    b = GradedCharacter(1, 1)
+    b.add_term(1, ((0,), (0,)), 2)
+    b.add_term(2, ((1,), (0,)), 4)
+    b.add_term(2, ((0,), (1,)), -1)
+    d = a.diff(b)
+    assert {deg: vc.terms for deg, vc in d.items()} == {
+        0: {((2,), (0,)): 3},
+        1: {((1,), (1,)): 1},
+        2: {((1,), (0,)): -4, ((0,), (1,)): 1},
+    }
+    for vc in d.values():
+        vc.terms.clear()
+    assert a.degree(0).terms == {((2,), (0,)): 3}
+    assert b.degree(2).terms == {((1,), (0,)): 4, ((0,), (1,)): -1}
+
+
 def test_schur_product_grid_matches_lr_coefficient():
     # every truncation, including max_length below the length of lam
     shapes = [lam for n in range(5) for lam in partitions_of(n)]

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import superbott
+from superbott import cli, cohomology
 from superbott.cli import build_parser, run
 from superbott.partitions import Partition
 
@@ -189,6 +190,27 @@ def test_cohom_verify_json_is_one_object(capsys, dim, alpha, code):
         assert payload == json.loads(capture(capsys, ["--output", "json", "cohom", *bundle])[1])
     else:
         assert payload == {}
+
+
+@pytest.mark.parametrize("dim,alpha,code", [("3,2", "[2]", 0), ("4,2", "[1,1]", 2)])
+def test_cohom_verify_computes_the_closed_form_once(capsys, monkeypatch, dim, alpha, code):
+    # one closed form serves both the cross-check and the printed result;
+    # `verify` alone computes it once too
+    calls = []
+    closed_form = cohomology.main_theorem_char
+
+    def counted(spec):
+        calls.append(spec)
+        return closed_form(spec)
+
+    monkeypatch.setattr(cli, "main_theorem_char", counted)
+    monkeypatch.setattr(cohomology, "main_theorem_char", counted)
+    bundle = ["--grass", "1,1", "--dim", dim, "--alpha", alpha]
+    runs = [(["cohom", *bundle, "--verify"], code), (["verify", *bundle], code), (["cohom", *bundle], 0)]
+    for argv, expected in runs:
+        calls.clear()
+        assert capture(capsys, argv)[0] == expected
+        assert len(calls) == 1, argv
 
 
 def child_env():

@@ -25,11 +25,18 @@ from superbott.cohomology import (
     verify_main_theorem,
 )
 from superbott.bott import LeviWeight, grassmannian_cohomology, kunneth
-from superbott.characters import GradedCharacter, dual_weight, pad_weight, rational_tensor
+from superbott.characters import (
+    GradedCharacter,
+    VirtualCharacter,
+    dual_weight,
+    pad_weight,
+    rational_tensor,
+)
 from superbott.errors import HypothesisError, TermLimitError
 from superbott.partitions import Partition, SkewShape, partitions_in_box, partitions_of
 from superbott.qseries import HilbertSeries, q_factorial
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
+from test_acceptance import case1_grid
 
 
 def bundle(p, q, m, n, alpha=(), beta=()):
@@ -390,6 +397,49 @@ def test_verify_passes_small_grid():
         rep = verify_main_theorem(bundle(p, q, m, n, alpha, beta))
         assert rep.matches, (p, q, m, n, alpha, beta, rep.diffs)
         assert rep.diffs == {}
+
+
+def reference_closed_form(spec):
+    # the closed form from the public pieces, one add_char per degree
+    if hypothesis_case(spec) is HypothesisCase.CASE1:
+        base = rational_schur_char(spec.alpha, spec.beta, spec.d)
+    else:
+        shifted = rational_schur_char(spec.alpha.transpose(), spec.beta.transpose(), spec.d.shifted())
+        base = VirtualCharacter(spec.m, spec.n, {(w1, w0): c for (w0, w1), c in shifted.items()})
+    out = GradedCharacter(spec.m, spec.n)
+    for deg, coeff in structure_sheaf_hilbert(spec).coeffs.items():
+        out.add_char(deg, base, coeff)
+    return out
+
+
+def test_verify_agrees_with_the_reference_cross_check():
+    # verify against the first page minus the closed form, degree by degree,
+    # both as e1_page(spec).diff(main_theorem_char(spec)) and by
+    # VirtualCharacter subtraction against a closed form rebuilt from its
+    # public pieces, on the criterion-4 CASE1 grid and on its CASE2 mirror
+    # (even and odd ranks swapped, both shapes transposed)
+    counts = {HypothesisCase.CASE1: 0, HypothesisCase.CASE2: 0}
+    mismatches = 0
+    for spec in case1_grid():
+        mirror = BundleSpec(spec.q, spec.p, spec.d.shifted(), spec.alpha.transpose(), spec.beta.transpose())
+        for bundle_spec in (spec, mirror):
+            counts[hypothesis_case(bundle_spec)] += 1
+            rep = verify_main_theorem(bundle_spec)
+            page = e1_page(bundle_spec)
+            expected = reference_closed_form(bundle_spec)
+            assert main_theorem_char(bundle_spec) == expected, bundle_spec
+            diffs = {}
+            for deg in set(page.degrees()) | set(expected.degrees()):
+                vc = page.degree(deg) - expected.degree(deg)
+                if not vc.is_zero():
+                    diffs[deg] = vc
+            assert rep.diffs == diffs == page.diff(main_theorem_char(bundle_spec)), bundle_spec
+            assert rep.matches == (not diffs)
+            assert rep.possibly_nondegenerate == page.has_odd_support()
+            mismatches += not rep.matches
+    # six mirrors satisfy CASE1 as well, which hypothesis_case checks first
+    assert counts == {HypothesisCase.CASE1: 1072, HypothesisCase.CASE2: 1060}, counts
+    assert mismatches == 106  # 53 CASE1 surplus bundles and their mirrors
 
 
 def test_verify_case2_via_shift():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from superbott.characters import schur_product, skew_expand
@@ -32,6 +34,13 @@ def test_construction_rejects_bad_input():
         Partition([2, 3])
     with pytest.raises(ValueError):
         Partition([1, -1])
+
+
+def test_partition_is_a_tuple_without_instance_dict():
+    # __slots__ = () keeps a shape as small as the tuple of its parts
+    lam = Partition((2, 1))
+    assert sys.getsizeof(lam) == sys.getsizeof((2, 1))
+    assert not hasattr(lam, "__dict__")
 
 
 def test_size_length_part():
