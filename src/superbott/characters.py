@@ -68,7 +68,10 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
         return 0
     if not dominates(row_sum(lam, mu), nu):
         return 0
-    return dict(_lr_count(nu, lam)).get(mu, 0)
+    for x, c in _lr_count(nu, lam):
+        if x == mu:
+            return c
+    return 0
 
 
 def _add_strip(

@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .partitions import Partition, SkewShape
-from .superschur import _fraction_det, _h_table
+from .superschur import _fraction_det, _h_table, _int_det
 
 MAX_CELLS = 12
 
@@ -83,7 +83,7 @@ def ssyt_count(shape, bound: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition, int], ...]:
+def _schur_expand_cached(lam: Partition, mu: Partition) -> Mapping[Partition, int]:
     nvars = max(1, lam.length + mu.length)
     mono_mu = _monomials(mu, nvars)
     _guard(lam)
@@ -96,10 +96,10 @@ def _schur_expand_cached(lam: Partition, mu: Partition) -> Tuple[Tuple[Partition
         inversions = sum(v[i] < v[j] for i in range(nvars) for j in range(i + 1, nvars))
         nu = Partition(x - (nvars - 1 - i) for i, x in enumerate(sorted(v, reverse=True)))
         out[nu] = out.get(nu, 0) + (-c if inversions % 2 else c)
-    return tuple(sorted(((nu, c) for nu, c in out.items() if c), reverse=True))
+    return MappingProxyType({nu: c for nu, c in out.items() if c})
 
 
-def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
+def schur_expand_bruteforce(lam, mu) -> Mapping[Partition, int]:
     """Expand s_lam * s_mu into Schur polynomials by Jacobi's bialternant formula.
 
     In N = max(1, l(lam) + l(mu)) variables s_lam = a_(lam+delta) / a_delta,
@@ -111,9 +111,10 @@ def schur_expand_bruteforce(lam, mu) -> Dict[Partition, int]:
     adds its signed c to the coefficient of s_nu, nu = sort(v) - delta.
     Every nu of the product has at most N rows, so nothing is lost.  No LR
     rule is used.  The last few expansions are cached, so that
-    ``lr_bruteforce`` over every nu of one (lam, mu) expands once.
+    ``lr_bruteforce`` over every nu of one (lam, mu) expands once; every
+    caller shares the result, so it is a read-only view.
     """
-    return dict(_schur_expand_cached(Partition(lam), Partition(mu)))
+    return _schur_expand_cached(Partition(lam), Partition(mu))
 
 
 def lr_bruteforce(lam, mu, nu) -> int:
@@ -124,14 +125,12 @@ def lr_bruteforce(lam, mu, nu) -> int:
     return schur_expand_bruteforce(lam, mu).get(nu, 0)
 
 
-def _jt_det(h: Sequence[Fraction], gamma: Tuple[int, ...], inner: Partition) -> Fraction:
-    """Jacobi-Trudi determinant det h(gamma_j - inner_i - j + i), every entry read from h."""
+def _jt_matrix(h: Sequence, gamma: Sequence[int], inner: Sequence[int] = ()) -> list:
+    """Jacobi-Trudi matrix h(gamma_j - inner_i - j + i), every entry read from h."""
     n = len(gamma)
-    mat = [
-        [h[k] if k >= 0 else 0 for k in (gamma[j] - inner.part(i) - j + i for j in range(n))]
-        for i in range(n)
-    ]
-    return _fraction_det(mat)
+    starts = [gamma[j] - j for j in range(n)]
+    inner = tuple(inner[:n]) + (0,) * (n - len(inner))
+    return [[h[k] if k >= 0 else 0 for k in (x + i - inner[i] for x in starts)] for i in range(n)]
 
 
 def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], inner=()) -> Fraction:
@@ -146,7 +145,7 @@ def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], in
     gamma = tuple(gamma)
     if not gamma:
         return Fraction(1)
-    return _jt_det(_h_table(max(gamma) + len(gamma) - 1, values), gamma, Partition(inner))
+    return _fraction_det(_jt_matrix(_h_table(max(gamma) + len(gamma) - 1, values), gamma, Partition(inner)))
 
 
 def specialize_schur(shape, values: Sequence[Fraction]) -> Fraction:
@@ -182,48 +181,61 @@ def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     return result / math.prod(map(Fraction, values)) ** k if k else result
 
 
-def _weight_values(weights, values: Sequence[Fraction]) -> Dict[Tuple[int, ...], Fraction]:
-    """Evaluate rational GL characters of one rank at the same points.
+def _weight_values(weights, values: Sequence[Fraction]) -> Tuple[Dict[Tuple[int, ...], int], int]:
+    """Evaluate rational GL characters of one rank at the same points, as
+    integer numerators over one common integer denominator.
 
-    Each weight w is shifted by k = max(0, -min(w)) into a partition gamma.
-    The points are scaled by the lcm D of their denominators to integers;
-    h_j is homogeneous of degree j, so the Jacobi-Trudi determinant of gamma
-    at the scaled points is D^|gamma| times the one at the points.  Every
-    determinant reads one integer h table, sized for the largest
-    gamma_1 + l(gamma) - 1, and each value is divided once, by D^|gamma|
-    times the k-th power of the product of the points.
+    Each weight w is shifted by k = max(0, -min(w)) into the partition
+    gamma = w + k*(1, ..., 1).  The points are scaled by the lcm D of their
+    denominators to integers, and every determinant reads one integer h
+    table of the scaled points, sized for the largest gamma_1 + l(gamma) - 1.
+    h_j is homogeneous of degree j, so the Jacobi-Trudi determinant J of
+    gamma at the scaled points is D^|gamma| s_gamma, and with S the product
+    of the scaled points, s_w = J / (D^|w| S^k).  Over the common
+    denominator D^e S^K, e = max(0, max |w|) and K = max k, the numerator
+    of w is J * D^(e - |w|) * S^(K - k).
     """
     values = [Fraction(x) for x in values]
-    shifted = {}
+    shifted = []
     for w in weights:
         if len(w) != len(values):
             raise ValueError("need one value per weight entry")
-        shifted[w] = _shift(w)
+        if any(a < b for a, b in zip(w, w[1:])):
+            raise ValueError(f"weight is not dominant: {w}")
+        k = max(0, -min(w, default=0))
+        gamma = [x + k for x in w]
+        while gamma and not gamma[-1]:
+            gamma.pop()
+        shifted.append((w, sum(w), k, gamma))
     scale = math.lcm(*(x.denominator for x in values))
-    top = max([0] + [g.part(0) + g.length - 1 for _, g in shifted.values()])
-    h = _h_table(top, [x.numerator * (scale // x.denominator) for x in values])
-    prod = math.prod(values)
+    points = [x.numerator * (scale // x.denominator) for x in values]
+    h = _h_table(max([0] + [g[0] + len(g) - 1 for _, _, _, g in shifted if g]), points)
+    prod = math.prod(points)
+    e = max([0] + [size for _, size, _, _ in shifted])
+    top_k = max([0] + [k for _, _, k, _ in shifted])
     out = {}
-    for w, (k, gamma) in shifted.items():
-        out[w] = _jt_det(h, gamma, Partition()) / (scale**gamma.size * prod**k)
-    return out
+    for w, size, k, gamma in shifted:
+        out[w] = _int_det(_jt_matrix(h, gamma)) * scale ** (e - size) * prod ** (top_k - k)
+    return out, scale**e * prod**top_k
 
 
 def specialize_weight_jt(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     """Same as specialize_weight but through the Jacobi-Trudi determinant."""
     w = tuple(w)
-    return _weight_values([w], values)[w]
+    num, den = _weight_values([w], values)
+    return Fraction(num[w], den)
 
 
 def specialize_character(char, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Fraction:
     """Evaluate a VirtualCharacter at rational points, one per variable.
 
-    Each distinct even and odd weight is evaluated once, every determinant
-    of a side read from one h table of that side's points.
+    Each distinct even and odd weight is evaluated once, by ``_weight_values``,
+    as an integer numerator over one denominator per side; the products of
+    the numerators are summed as integers and divided once.
     """
-    even = _weight_values({w0 for (w0, _), _ in char.items()}, evens)
-    odd = _weight_values({w1 for (_, w1), _ in char.items()}, odds)
-    total = Fraction(0)
+    even, even_den = _weight_values({w0 for (w0, _), _ in char.items()}, evens)
+    odd, odd_den = _weight_values({w1 for (_, w1), _ in char.items()}, odds)
+    total = 0
     for (w0, w1), mult in char.items():
         total += mult * even[w0] * odd[w1]
-    return total
+    return Fraction(total, even_den * odd_den)

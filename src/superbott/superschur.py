@@ -244,26 +244,18 @@ def super_h(k: int, evens: Sequence[Fraction], odds: Sequence[Fraction]) -> Frac
     return Fraction(_h_table(k, evens, odds)[k]) if k >= 0 else Fraction(0)
 
 
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of rationals or integers, by
-    fraction-free elimination.
+def _int_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
 
-    Each row is scaled to integers by the lcm of its denominators. Bareiss
-    elimination then divides exactly at every step (Bareiss, Math. Comp.
-    1968), so the one division left is by the product of the row scales.
+    Bareiss elimination divides exactly at every step (Bareiss, Math. Comp.
+    1968), so every entry stays an integer.  The rows are overwritten.
     """
-    n = len(mat)
-    rows = []
-    scale = 1
-    for row in mat:
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
+    n = len(rows)
     sign, prev = 1, 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             sign = -sign
@@ -274,7 +266,23 @@ def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
             for c in range(col + 1, n):
                 row[c] = (p * row[c] - a * top[c]) // prev
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
+
+
+def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square matrix of rationals or integers.
+
+    Each row is scaled to integers by the lcm of its denominators, the
+    integer matrix goes to ``_int_det``, and the one division left is by the
+    product of the row scales.
+    """
+    rows = []
+    scale = 1
+    for row in mat:
+        d = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return Fraction(_int_det(rows), scale)
 
 
 def composite_det_specialized(
@@ -289,8 +297,20 @@ def composite_det_specialized(
 
     The first q columns carry dual symmetric powers of mu, the remaining p
     columns symmetric powers of lam; all entries are specialized exactly.
-    Every entry is read from one h table of the points (``_h_table``) or
-    one of the inverse points, each built once per determinant.
+    Row i (1-based) holds hbar_{b_j - i} in column j <= q, with
+    b_j = mu_{q-j} + j, and h_{a_j + i} in column q + j, with
+    a_j = lam_{j-1} - q - j.
+
+    The determinant is taken over the integers.  With D the lcm of the
+    points' denominators and E the lcm of their numerators, D*x and E/x are
+    integers, and since h_k is homogeneous of degree k, h_k(x) = H[k] / D^k
+    and hbar_k(1/x) = Hbar[k] / E^k for the tables H and Hbar of those
+    integer points (``_h_table``).  Taking D^-a_j out of each h-column,
+    E^-b_j out of each hbar-column and D^-i out of row i leaves the integer
+    matrix M with H[k] in the h-columns and Hbar[k] * (DE)^i in the
+    hbar-columns.  So the value is det M * D^(-sum a_j - sum i) *
+    E^(-sum b_j) = det M / (D^(|lam| + t) * E^(|mu| + t)), t = q(q+1)/2:
+    one division.
     """
     lam, mu = Partition(lam), Partition(mu)
     evens, odds = eval_points
@@ -301,16 +321,24 @@ def composite_det_specialized(
     if any(x == 0 for x in evens) or any(y == 0 for y in odds):
         raise PreconditionError("singular evaluation")
     p, q = _box(lam, mu, p, q)
+    points = evens + odds
+    dd = lcm(*(x.denominator for x in points))
+    ee = lcm(*(x.numerator for x in points))
+    scaled = [x.numerator * (dd // x.denominator) for x in points]
+    inverse = [ee // x.numerator * x.denominator for x in points]
     # h is read at most p - 1 past lam's first part, hbar q - 1 past mu's
-    h = _h_table(lam.part(0) + p - 1, evens, odds)
-    hbar = _h_table(mu.part(0) + q - 1, [1 / x for x in evens], [1 / y for y in odds])
-    zero = Fraction(0)
-    mat = [
-        [hbar[k] if k >= 0 else zero for k in (mu.part(q - j) - i + j for j in range(1, q + 1))]
-        + [h[k] if k >= 0 else zero for k in (lam.part(j - 1) + i - q - j for j in range(1, p + 1))]
-        for i in range(1, p + q + 1)
-    ]
-    return _fraction_det(mat)
+    h = _h_table(lam.part(0) + p - 1, scaled[: d.m], scaled[d.m :])
+    hbar = _h_table(mu.part(0) + q - 1, inverse[: d.m], inverse[d.m :])
+    rows = []
+    lift = 1
+    for i in range(1, p + q + 1):
+        lift *= dd * ee
+        rows.append(
+            [hbar[k] * lift if k >= 0 else 0 for k in (mu.part(q - j) - i + j for j in range(1, q + 1))]
+            + [h[k] if k >= 0 else 0 for k in (lam.part(j - 1) + i - q - j for j in range(1, p + 1))]
+        )
+    t = q * (q + 1) // 2
+    return Fraction(_int_det(rows), dd ** (lam.size + t) * ee ** (mu.size + t))
 
 
 def highest_weight(lam: Partition, mu: Partition, d: SuperDim) -> SuperWeight:

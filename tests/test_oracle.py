@@ -141,8 +141,9 @@ def _tableau_route(char, evens, odds):
 
 def test_specialize_character_matches_tableau_route():
     evens = [Fraction(2), Fraction(-3, 2), Fraction(1, 3), Fraction(5)]
-    odds = [Fraction(7, 3), Fraction(-1, 2)]
-    # negative weights, one and two odd points, and an empty even or odd side
+    odds = [Fraction(7, 3), Fraction(-1, 2), Fraction(5, 4), Fraction(-2)]
+    # negative weights, one and two odd points, an empty even or odd side,
+    # and CASE2-shaped characters with more odd than even points
     cases = [
         ((2, 1), (1,), 2, 1),
         ((2, 1), (1, 1), 3, 2),
@@ -151,12 +152,23 @@ def test_specialize_character_matches_tableau_route():
         ((2,), (), 0, 2),
         ((), (1,), 0, 2),
         ((1, 1), (1,), 3, 0),
+        ((1,), (1,), 1, 3),
+        ((2, 1), (1,), 2, 4),
+        ((1,), (2,), 1, 4),
     ]
+    shifted = set()
     for lam, mu, m, n in cases:
         char = rational_schur_char(Partition(lam), Partition(mu), SuperDim(m, n))
         assert char.terms
         pts = (evens[:m], odds[:n])
-        assert specialize_character(char, *pts) == _tableau_route(char, *pts), (lam, mu, m, n)
+        got = specialize_character(char, *pts)
+        assert type(got) is Fraction
+        assert got == _tableau_route(char, *pts), (lam, mu, m, n)
+        for w0, w1 in char.terms:
+            assert specialize_weight_jt(w0, pts[0]) == specialize_weight(w0, pts[0])
+            assert specialize_weight_jt(w1, pts[1]) == specialize_weight(w1, pts[1])
+            shifted |= {side for side, w in (("even", w0), ("odd", w1)) if min(w, default=0) < 0}
+    assert shifted == {"even", "odd"}
     # terms sharing w0, with weights of one side that need tables of different sizes
     shared = VirtualCharacter(
         2, 1, {((0, -2), (1,)): 3, ((0, -2), (-1,)): -2, ((3, 1), (0,)): 1, ((1, -1), (2,)): 5, ((0, 0), (1,)): 1}
@@ -164,11 +176,18 @@ def test_specialize_character_matches_tableau_route():
     assert specialize_character(shared, evens[:2], odds[:1]) == _tableau_route(shared, evens[:2], odds[:1])
     with pytest.raises(ValueError):
         specialize_character(shared, evens[:3], odds[:1])
+    empty = specialize_character(VirtualCharacter(2, 1), evens[:2], odds[:1])
+    assert type(empty) is Fraction and empty == 0
 
 
 def test_specialize_weight_needs_matching_rank():
     with pytest.raises(ValueError):
         specialize_weight((1, 0), (Fraction(1),))
+    with pytest.raises(ValueError):
+        specialize_weight_jt((1, 0), (Fraction(1),))
+    with pytest.raises(ValueError):
+        specialize_weight_jt((0, 1), (Fraction(1), Fraction(2)))
+    assert specialize_weight_jt((), ()) == specialize_weight((), ()) == 1
 
 
 def test_oracle_imports_no_fast_path():
@@ -176,7 +195,7 @@ def test_oracle_imports_no_fast_path():
     # Fraction helpers of superschur, imported by name
     tree = ast.parse(Path(superbott.oracle.__file__).read_text())
     forbidden = {"characters", "cohomology", "bott"}
-    shared = {"_h_table", "_fraction_det"}
+    shared = {"_h_table", "_fraction_det", "_int_det"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = {part for alias in node.names for part in alias.name.split(".")}

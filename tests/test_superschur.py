@@ -16,6 +16,7 @@ from superbott.superschur import (
     SuperDim,
     SuperWeight,
     _fraction_det,
+    _h_table,
     _lr_pairs,
     _odd_factors,
     _super_schur_terms,
@@ -318,6 +319,61 @@ def test_fraction_det_matches_leibniz():
         singular += expected == 0
         assert _fraction_det(mat) == expected, mat
     assert singular > 20
+
+
+def _composite_det_reference(lam, mu, evens, odds, p, q):
+    """The composite determinant over Fraction h tables, by Leibniz."""
+    evens = [Fraction(x) for x in evens]
+    odds = [Fraction(y) for y in odds]
+    h = _h_table(lam.part(0) + p - 1, evens, odds)
+    hbar = _h_table(mu.part(0) + q - 1, [1 / x for x in evens], [1 / y for y in odds])
+    mat = [
+        [hbar[k] if k >= 0 else 0 for k in (mu.part(q - j) - i + j for j in range(1, q + 1))]
+        + [h[k] if k >= 0 else 0 for k in (lam.part(j - 1) + i - q - j for j in range(1, p + 1))]
+        for i in range(1, p + q + 1)
+    ]
+    return _leibniz(mat)
+
+
+def _rational_point(rng):
+    return Fraction(rng.choice((-9, -4, -1, 1, 2, 3, 7)), rng.choice((1, 2, 3, 7, 10)))
+
+
+def test_composite_det_matches_a_fraction_reference():
+    # the determinant is taken over integer tables of the points scaled by
+    # the lcm of their denominators and of the inverse points scaled by the
+    # lcm of their numerators; against Fraction tables and Leibniz, with
+    # negative numerators, non-unit denominators, odd points, boxes padded
+    # past l(lam) and l(mu), and plain int points as total_dim() is checked
+    rng = random.Random(24)
+    shapes = [lam for k in range(5) for lam in partitions_of(k) if lam.length <= 2]
+    kinds = Counter()
+    for trial in range(320):
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        p = lam.length + rng.randint(0, 1)
+        q = mu.length + rng.randint(0, 1)
+        if p + q > 5:
+            p, q = lam.length, mu.length
+        m, n = rng.randint(0, 3), rng.randint(0, 2)
+        if trial % 4 == 0:
+            evens, odds = [1] * m, [1] * n
+        elif trial % 4 == 1:
+            evens = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(m)]
+            odds = [rng.choice((-2, 1, 3)) for _ in range(n)]
+        else:
+            evens = [_rational_point(rng) for _ in range(m)]
+            odds = [_rational_point(rng) for _ in range(n)]
+        points = [Fraction(x) for x in evens + odds]
+        kinds["negative"] += any(x < 0 for x in points)
+        kinds["denominator"] += any(x.denominator > 1 for x in points)
+        kinds["numerator"] += any(abs(x.numerator) > 1 for x in points)
+        kinds["odd"] += n > 0
+        kinds["padded"] += (p, q) != (lam.length, mu.length)
+        kinds["int"] += all(type(x) is int for x in evens + odds)
+        got = composite_det_specialized(lam, mu, SuperDim(m, n), (evens, odds), p, q)
+        assert type(got) is Fraction
+        assert got == _composite_det_reference(lam, mu, evens, odds, p, q), (lam, mu, evens, odds, p, q)
+    assert min(kinds.values()) > 50, kinds
 
 
 def test_composite_det_singular_point():
