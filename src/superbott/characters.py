@@ -9,14 +9,7 @@ from operator import neg
 from typing import Dict, Iterable, Tuple
 
 from .errors import SuperbottError
-from .partitions import (
-    Partition,
-    SkewShape,
-    _trusted,
-    contains,
-    dominates,
-    row_sum,
-)
+from .partitions import Partition, SkewShape, _trusted, contains
 
 # A GL(m) weight is a weakly decreasing integer tuple of length m.
 GLWeight = Tuple[int, ...]
@@ -64,9 +57,9 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     lam, mu, nu = Partition(lam), Partition(mu), Partition(nu)
     if lam.size + mu.size != nu.size:
         return 0
+    # _lr_count needs lam inside nu; mu inside nu spares a skew search that
+    # can only give 0
     if not contains(lam, nu) or not contains(mu, nu):
-        return 0
-    if not dominates(row_sum(lam, mu), nu):
         return 0
     for x, c in _lr_count(nu, lam):
         if x == mu:

@@ -166,10 +166,8 @@ def _structure_sheaf_hilbert(spec: BundleSpec | FlagSpec, case: HypothesisCase) 
 
 
 # One Levi block side of rational_tensor(a, b): (entry_mask, rho-shifted
-# block, multiplicity) for each term.  A Levi row is one term's block sides,
-# one per shape of a box.
+# block, multiplicity) for each term.
 _BlockSide = Tuple[Tuple[int, GLWeight, int], ...]
-_LeviRow = Tuple[_BlockSide, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -240,63 +238,57 @@ def _box_shapes(
     return tuple(table)
 
 
-@lru_cache(maxsize=4096)
-def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _LeviRow:
-    """``_block_side(a, shape[column], offset)`` for each shape of the box.
+class _LeviRow(dict):
+    """One term's Levi block sides over one box, and which of them a mask reaches.
 
-    The row follows the order of ``_box_shapes(rows, cols)``.  It depends
-    on its arguments alone, so it is memoized across calls, for the 4096
-    most recently used keys (one pass of 3070 small bundles asks for about
-    1650).
-    """
-    return tuple(_block_side(a, shape[column], offset) for shape in _box_shapes(rows, cols))
-
-
-class _Reach:
-    """Which sides of a Levi row hold a block that shares no entry with a mask.
-
-    ``bits(mask)`` is the bit set of the positions whose side holds a block
-    disjoint from the entry mask.  The row's table of distinct block masks
-    and their positions is built once; ``answers`` keeps the answer to each
-    of the first ANSWERS masks asked.
+    ``sides`` is a tuple of block sides, one per shape of the box.
+    ``row[mask]`` is the bit set of the positions whose side holds a block
+    that shares no entry with the entry mask; the row keeps the answers to
+    the first ANSWERS masks asked, so a kept answer is read without a
+    Python call.
     """
 
-    __slots__ = ("masks", "wheres", "answers")
+    __slots__ = ("sides", "masks", "wheres")
 
     # one pass of 3070 small bundles asks at most about 200 distinct masks
     # of one row
     ANSWERS = 256
 
-    def __init__(self, row: _LeviRow) -> None:
-        positions: Dict[int, int] = {}
-        for i, side in enumerate(row):
-            for mask, _, _ in side:
-                positions[mask] = positions.get(mask, 0) | 1 << i
-        self.masks = tuple(positions)
-        self.wheres = tuple(positions.values())
-        self.answers: Dict[int, int] = {}
+    def __init__(self, sides: Tuple[_BlockSide, ...]) -> None:
+        self.sides = sides
+        self.masks = None
 
-    def bits(self, mask: int) -> int:
-        bits = self.answers.get(mask)
-        if bits is None:
-            bits = 0
-            for other, where in zip(self.masks, self.wheres):
-                if not other & mask:
-                    bits |= where
-            if len(self.answers) < self.ANSWERS:
-                self.answers[mask] = bits
+    def __missing__(self, mask: int) -> int:
+        if self.masks is None:
+            # the distinct block masks and the positions holding each, built
+            # on the first miss: the rows of odd upper and even lower sides
+            # are never asked
+            positions: Dict[int, int] = {}
+            for i, side in enumerate(self.sides):
+                for other, _, _ in side:
+                    positions[other] = positions.get(other, 0) | 1 << i
+            self.masks = tuple(positions)
+            self.wheres = tuple(positions.values())
+        bits = 0
+        for other, where in zip(self.masks, self.wheres):
+            if not other & mask:
+                bits |= where
+        if len(self) < self.ANSWERS:
+            self[mask] = bits
         return bits
 
 
 @lru_cache(maxsize=4096)
-def _reach(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _Reach:
-    """The ``_Reach`` of ``_levi_row(a, rows, cols, column, offset)``.
+def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _LeviRow:
+    """The row of ``_block_side(a, shape[column], offset)`` for each shape of the box.
 
-    Memoized across calls with the row's key, for the 4096 most recently
-    used keys (one pass of 3070 small bundles asks for about 830), so each
-    table and each answer is shared by every call that reads the row.
+    The sides follow the order of ``_box_shapes(rows, cols)``.  The row
+    depends on its arguments alone, so it is memoized across calls, for the
+    4096 most recently used keys (one pass of 3070 small bundles asks for
+    about 1650), and each answer it keeps is shared by every call that
+    reads the row.
     """
-    return _Reach(_levi_row(a, rows, cols, column, offset))
+    return _LeviRow(tuple(_block_side(a, shape[column], offset) for shape in _box_shapes(rows, cols)))
 
 
 @lru_cache(maxsize=1024)
@@ -327,12 +319,12 @@ def _e1_terms(
     its blocks share no entry, which is one AND of their ``entry_mask``s.
     Each alpha-term holds a row of even upper sides, one per nu, and each
     beta-term a row of odd lower sides, one per nu; each row is read from
-    ``_levi_row``'s memo.  ``_reach`` turns each such row into bit sets over
-    the nu positions, once per process, so for one (alpha-term, beta-term,
-    lam) the cells whose even side survives are the OR of the reach of
-    every lower block mask, those whose odd side survives the OR of the
-    reach of every upper block mask, and the loop walks the set bits of
-    both in ascending nu.
+    ``_levi_row``'s memo, and answers, once per process, which of its nu
+    positions a block mask reaches.  For one (alpha-term, beta-term, lam)
+    the cells whose even side survives are the OR of the even row's answers
+    to every lower block mask, those whose odd side survives the OR of the
+    odd row's answers to every upper block mask, and the loop walks the set
+    bits of both in ascending nu.
     Bott runs only on those cells, through ``_levi_bott_pairs``'s memo.
     Every multiplicity is a product of positive super-Schur, LR and Bott
     multiplicities, so no term cancels and no block of the result is zero.
@@ -359,36 +351,29 @@ def _e1_terms(
     # the exterior degree of each shape, or 0 for all of them
     lam_sizes = [shape[0] if by_exterior else 0 for shape in lams]
     nu_sizes = [shape[0] if by_exterior else 0 for shape in nus]
-    alphas = []
-    for (a0, a1), ca in alpha_terms:
-        eu_row = _levi_row(a0, mq, q, _SIGMA_DUAL, p)
-        ou_row = _levi_row(a1, p, nq, _SIGMA_T_DUAL, q)
-        eu = _reach(a0, mq, q, _SIGMA_DUAL, p)
-        alphas.append((ca, eu_row, eu.answers, eu.bits, ou_row))
-    betas = []
-    for (b0, b1), cb in beta_terms:
-        el_row = _levi_row(b0, p, nq, _SIGMA, 0)
-        ol_row = _levi_row(b1, mq, q, _SIGMA_T, 0)
-        ol = _reach(b1, mq, q, _SIGMA_T, 0)
-        betas.append((cb, el_row, ol_row, ol.answers, ol.bits))
+    alphas = [
+        (ca, _levi_row(a0, mq, q, _SIGMA_DUAL, p), _levi_row(a1, p, nq, _SIGMA_T_DUAL, q).sides)
+        for (a0, a1), ca in alpha_terms
+    ]
+    betas = [
+        (cb, _levi_row(b1, mq, q, _SIGMA_T, 0), _levi_row(b0, p, nq, _SIGMA, 0).sides)
+        for (b0, b1), cb in beta_terms
+    ]
 
-    for ca, eu_row, eu_answers, eu_bits, ou_row in alphas:
-        for cb, el_row, ol_row, ol_answers, ol_bits in betas:
+    for ca, eu, ou_sides in alphas:
+        for cb, ol, el_sides in betas:
             mult = ca * cb
-            for lam_size, even_lower_side, odd_upper_side in zip(lam_sizes, el_row, ou_row):
+            for lam_size, even_lower_side, odd_upper_side in zip(lam_sizes, el_sides, ou_sides):
                 # upper is the quotient block, lower the sub block; bit j
                 # stands for the cell of nus[j], walked in ascending j
-                # an answer kept by the _Reach is read without a call
                 cells = 0
                 for mask, _, _ in even_lower_side:
-                    bits = eu_answers.get(mask)
-                    cells |= eu_bits(mask) if bits is None else bits
+                    cells |= eu[mask]
                 if not cells:
                     continue
                 odd = 0
                 for mask, _, _ in odd_upper_side:
-                    bits = ol_answers.get(mask)
-                    odd |= ol_bits(mask) if bits is None else bits
+                    odd |= ol[mask]
                 cells &= odd
                 while cells:
                     low = cells & -cells
@@ -398,8 +383,8 @@ def _e1_terms(
                     grades = page.get(ext_deg)
                     if grades is None:
                         grades = page[ext_deg] = {}
-                    odd_parts = _levi_bott_pairs(odd_upper_side, ol_row[j])
-                    for d0, w0, c0 in _levi_bott_pairs(eu_row[j], even_lower_side):
+                    odd_parts = _levi_bott_pairs(odd_upper_side, ol.sides[j])
+                    for d0, w0, c0 in _levi_bott_pairs(eu.sides[j], even_lower_side):
                         c0 *= mult
                         for d1, w1, c1 in odd_parts:
                             # one int lookup for the degree, one key tuple

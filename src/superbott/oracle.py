@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from .partitions import Partition, SkewShape
-from .superschur import _fraction_det, _h_table, _int_det
+from .superschur import _h_table, _int_det
 
 MAX_CELLS = 12
 
@@ -139,13 +139,23 @@ def jacobi_trudi_specialize(gamma: Sequence[int], values: Sequence[Fraction], in
     gamma may be any integer sequence with nonnegative entries; for a
     non-partition sequence the determinant straightens to a signed Schur
     polynomial or zero, matching the Euler characteristic of the
-    corresponding homogeneous bundle.  Every entry is read from one table
-    of h_0, ..., h_{max(gamma) + n - 1} at the values.
+    corresponding homogeneous bundle.  Every entry is read from one integer
+    table of h_0, ..., h_{max(gamma) + n - 1} at the values scaled by the
+    lcm D of their denominators.  Every nonzero term of the determinant has
+    degree |gamma| - |inner[:n]|, so the determinant at the scaled points is
+    D to that power times the one at the values; a negative degree leaves
+    no nonzero term.
     """
     gamma = tuple(gamma)
     if not gamma:
         return Fraction(1)
-    return _fraction_det(_jt_matrix(_h_table(max(gamma) + len(gamma) - 1, values), gamma, Partition(inner)))
+    inner = Partition(inner)
+    degree = sum(gamma) - sum(inner[: len(gamma)])
+    if degree < 0:
+        return Fraction(0)
+    points, scale = _integer_points(values)
+    h = _h_table(max(gamma) + len(gamma) - 1, points)
+    return Fraction(_int_det(_jt_matrix(h, gamma, inner)), scale**degree)
 
 
 def specialize_schur(shape, values: Sequence[Fraction]) -> Fraction:
@@ -181,6 +191,13 @@ def specialize_weight(w: Sequence[int], values: Sequence[Fraction]) -> Fraction:
     return result / math.prod(map(Fraction, values)) ** k if k else result
 
 
+def _integer_points(values: Sequence[Fraction]) -> Tuple[list, int]:
+    """The values times the lcm D of their denominators, and D."""
+    values = [Fraction(x) for x in values]
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _weight_values(weights, values: Sequence[Fraction]) -> Tuple[Dict[Tuple[int, ...], int], int]:
     """Evaluate rational GL characters of one rank at the same points, as
     integer numerators over one common integer denominator.
@@ -195,7 +212,6 @@ def _weight_values(weights, values: Sequence[Fraction]) -> Tuple[Dict[Tuple[int,
     denominator D^e S^K, e = max(0, max |w|) and K = max k, the numerator
     of w is J * D^(e - |w|) * S^(K - k).
     """
-    values = [Fraction(x) for x in values]
     shifted = []
     for w in weights:
         if len(w) != len(values):
@@ -207,8 +223,7 @@ def _weight_values(weights, values: Sequence[Fraction]) -> Tuple[Dict[Tuple[int,
         while gamma and not gamma[-1]:
             gamma.pop()
         shifted.append((w, sum(w), k, gamma))
-    scale = math.lcm(*(x.denominator for x in values))
-    points = [x.numerator * (scale // x.denominator) for x in values]
+    points, scale = _integer_points(values)
     h = _h_table(max([0] + [g[0] + len(g) - 1 for _, _, _, g in shifted if g]), points)
     prod = math.prod(points)
     e = max([0] + [size for _, size, _, _ in shifted])

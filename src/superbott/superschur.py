@@ -269,22 +269,6 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * prev
 
 
-def _fraction_det(mat: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix of rationals or integers.
-
-    Each row is scaled to integers by the lcm of its denominators, the
-    integer matrix goes to ``_int_det``, and the one division left is by the
-    product of the row scales.
-    """
-    rows = []
-    scale = 1
-    for row in mat:
-        d = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (d // x.denominator) for x in row])
-        scale *= d
-    return Fraction(_int_det(rows), scale)
-
-
 def composite_det_specialized(
     lam: Partition,
     mu: Partition,

@@ -17,20 +17,25 @@ from test_superschur import RATIONAL_SCHUR_PINS
 
 
 def package_caches():
-    """Every functools cache of the package, by module.name."""
+    """Every functools cache of the package, once, by defining module.name.
+
+    A cache imported into a second module is the same object under the
+    name of the module that defines it.
+    """
     caches = {}
     for info in pkgutil.iter_modules(superbott.__path__):
         module = importlib.import_module(f"superbott.{info.name}")
-        for name, value in vars(module).items():
+        for value in vars(module).values():
             if hasattr(value, "cache_info"):
-                caches[f"{info.name}.{name}"] = value
+                name = f"{value.__module__.removeprefix('superbott.')}.{value.__qualname__}"
+                caches[name] = value
     return caches
 
 
 def test_every_functools_cache_is_bounded():
     caches = package_caches()
     maxsizes = {name: cache.cache_parameters()["maxsize"] for name, cache in caches.items()}
-    assert {
+    assert set(maxsizes) == {
         "characters._lr_count",
         "characters._polynomial_product",
         "characters._rational_tensor_cached",
@@ -41,26 +46,26 @@ def test_every_functools_cache_is_bounded():
         "cohomology._interned",
         "cohomology._levi_bott_pairs",
         "cohomology._levi_row",
-        "cohomology._reach",
+        "oracle._schur_expand_cached",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
         "superschur._odd_factors",
         "superschur._odd_product",
         "superschur._super_schur_terms",
-    } <= set(maxsizes)
+    }
     assert [name for name, size in maxsizes.items() if size is None] == []
-    # a memoized _Reach keeps at most ANSWERS answers, and answers every
-    # mask alike: a position is reached when its side holds a block that
-    # shares no entry with the mask
-    row = cohomology._levi_row((2, 1, 0), 3, 2, cohomology._SIGMA_DUAL, 2)
-    reach = cohomology._Reach(row)
-    masks = range(1, reach.ANSWERS + 64)
+    # a Levi row keeps at most ANSWERS answers, and answers every mask
+    # alike: a position is reached when its side holds a block that shares
+    # no entry with the mask
+    sides = cohomology._levi_row((2, 1, 0), 3, 2, cohomology._SIGMA_DUAL, 2).sides
+    row = cohomology._LeviRow(sides)
+    masks = range(1, row.ANSWERS + 64)
     for mask in masks:
-        assert reach.bits(mask) == sum(
-            1 << i for i, side in enumerate(row) if any(not other & mask for other, _, _ in side)
+        assert row[mask] == sum(
+            1 << i for i, side in enumerate(sides) if any(not other & mask for other, _, _ in side)
         )
-    assert len(reach.answers) == reach.ANSWERS
-    assert [reach.bits(mask) for mask in masks] == [reach.bits(mask) for mask in masks]
+    assert len(row) == row.ANSWERS
+    assert [row[mask] for mask in masks] == [row[mask] for mask in masks]
 
 
 def test_memoized_results_are_not_aliased():
@@ -153,7 +158,6 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
         "cohomology._interned",
         "cohomology._levi_bott_pairs",
         "cohomology._levi_row",
-        "cohomology._reach",
         "superschur._odd_product",
     ):
         info = caches[name].cache_info()

@@ -60,6 +60,7 @@ def test_lr_basic_values():
     assert lr_coefficient((2, 1), (2, 1), (4, 2)) == 1
     assert lr_coefficient((2,), (1,), (2,)) == 0  # size mismatch
     assert lr_coefficient((3,), (1,), (2, 2)) == 0  # no containment
+    assert lr_coefficient((1, 1), (1, 1), (3, 1)) == 0  # contained, not dominated
 
 
 def test_lr_symmetry():

@@ -9,6 +9,7 @@ import pytest
 import superbott.oracle
 from superbott.characters import VirtualCharacter, lr_coefficient, pad_weight, weyl_dim
 from superbott.oracle import (
+    jacobi_trudi_specialize,
     lr_bruteforce,
     schur_expand_bruteforce,
     schur_monomials,
@@ -106,6 +107,10 @@ def test_specialize_skew_vs_lr_expansion():
         for nu in partitions_of(shape.size)
     )
     assert direct == expanded
+    # an inner shape larger than gamma leaves every term of the determinant
+    # a negative h index, so the determinant is 0
+    assert jacobi_trudi_specialize((1,), pts, inner=(2,)) == 0
+    assert jacobi_trudi_specialize((1, 0), pts, inner=(1, 1)) == 0
 
 
 def test_specialize_weight_negative_entries():
@@ -192,10 +197,10 @@ def test_specialize_weight_needs_matching_rank():
 
 def test_oracle_imports_no_fast_path():
     # the oracle checks the fast paths, so of the engine it may use only the
-    # Fraction helpers of superschur, imported by name
+    # h table and the integer determinant of superschur, imported by name
     tree = ast.parse(Path(superbott.oracle.__file__).read_text())
     forbidden = {"characters", "cohomology", "bott"}
-    shared = {"_h_table", "_fraction_det", "_int_det"}
+    shared = {"_h_table", "_int_det"}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = {part for alias in node.names for part in alias.name.split(".")}
