@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
 from operator import neg
 from typing import Dict, Iterable, Tuple
@@ -67,95 +66,37 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     return 0
 
 
-def _add_strip(
-    shape: Tuple[int, ...],
-    prev: Tuple[int, ...] | None,
-    k: int,
-    max_length: int,
-    mult: int,
-    into: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int],
-) -> None:
-    """Add every labelled horizontal strip of k cells to shape, counted in into.
+def _corner(lam: GLWeight, mu: GLWeight) -> Tuple[Partition, Partition]:
+    """The skew shape of two weakly decreasing shapes set corner to corner.
 
-    prev holds the row counts of the previous label (None for the first);
-    the lattice rule caps the cells of this label in rows <= r by the cells
-    of the previous label in rows < r.
+    Outer is lam moved right by mu_1 on top of mu, inner is (mu_1)^l(lam);
+    trailing zeros of either shape are ignored.  The two parts share no row
+    and no column, and the Schur function of such a skew shape is the
+    product of its parts' (Macdonald I.5), so its expansion is s_lam * s_mu.
     """
-    rows = min(len(shape) + 1, max_length)
-    old = shape + (0,)
-    # cells of the previous label in rows < r; a strip adds at most one row,
-    # so this covers every r < rows
-    above = list(accumulate(prev, initial=0)) if prev is not None else None
-    counts = [0] * rows
-    lows = [0] * rows
-    floor = old[rows - 1]
-    # a depth-first walk over rows, c descending from its cap in each row;
-    # lows[r] is the least c that row r may take
-    r, left = 0, k
-    while True:
-        if left == 0:
-            new = [old[s] + counts[s] for s in range(rows)]
-            if new[-1] == 0:
-                new.pop()
-            key = (tuple(new), tuple(counts))
-            into[key] = into.get(key, 0) + mult
-        elif r < rows:
-            cap = left
-            if above is not None:
-                cap = min(cap, above[r] - (k - left))  # lattice rule
-            if r:
-                cap = min(cap, old[r - 1] - old[r])  # horizontal strip
-            # the rows below r take at most old[r] - floor cells
-            lo = max(left - (old[r] - floor), 0) if r + 1 < rows else left
-            if cap >= lo:
-                counts[r], lows[r] = cap, lo
-                left -= cap
-                r += 1
-                continue
-        # back up to the deepest row that can take one cell fewer
-        while r:
-            r -= 1
-            if counts[r] > lows[r]:
-                counts[r] -= 1
-                left += 1
-                r += 1
-                break
-            left += counts[r]
-            counts[r] = 0
-        else:
-            return
+    shift = mu[0] if mu else 0
+    top = tuple(x + shift for x in lam if x)
+    inner = (shift,) * len(top) if shift else ()
+    return _trusted(top + tuple(x for x in mu if x)), _trusted(inner)
 
 
 def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partition, int]:
     """Decompose S_lam x S_mu, keeping shapes with at most max_length rows.
 
-    One search builds every LR tableau of shape nu/lam and content mu, one
-    label at a time: the cells labelled i+1 are a horizontal strip added
-    to the shape reached after label i (no new row longer than the old row
-    above it), and they obey the lattice rule row by row (the cells
-    labelled i+1 in rows <= r number at most the cells labelled i in rows
-    < r).  Partial tableaux that agree on their shape and on the row counts
-    of their last label have the same completions, so they are counted
-    together.  Each nu the search ends on carries c^nu_{lam, mu}.
+    The product is the skew expansion of ``_corner(lam, mu)``, with no label
+    above max_length: an LR tableau's content is its shape nu.  The cells
+    of lam's part are forced (row i all i's), so the search runs over mu's.
     """
     lam, mu = Partition(lam), Partition(mu)
     if lam.length > max_length:
         return {}
-    states = {(tuple(lam), None): 1}
-    for k in mu:
-        nxt: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-        for (shape, prev), mult in states.items():
-            _add_strip(shape, prev, k, max_length, mult, nxt)
-        states = nxt
-    out: Dict[Tuple[int, ...], int] = {}
-    for (shape, _), mult in states.items():
-        out[shape] = out.get(shape, 0) + mult
-    # each strip keeps the shape a partition, and _add_strip drops an empty last row
-    return {_trusted(nu): c for nu, c in out.items()}
+    return dict(_lr_count(*_corner(lam, mu), max_length))
 
 
 @lru_cache(maxsize=4096)
-def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int], ...]:
+def _lr_count(
+    outer: Partition, inner: Partition, bound: int | None = None
+) -> Tuple[Tuple[Partition, int], ...]:
     """Count the LR tableaux of outer/inner by content: pairs (nu, c^outer_{inner, nu}).
 
     Cells are filled in reverse reading order (rows top to bottom, each row
@@ -165,13 +106,17 @@ def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int]
     search is one loop, not a recursion, so no shape is too long for it: each
     cell takes the next admissible label above the one it held last, or is
     cleared and the search backs up a cell; tops[k] is the largest label of
-    the first k cells.  Callers:
-    ``skew_expand``, ``lr_coefficient`` and superschur's ``_lr_pairs`` and
-    ``_skew_super_char``; perfbench's layer trace reads this function and
-    its cache by this name.
+    the first k cells.  No label exceeds bound, so no nu has more than bound
+    rows; the default leaves labels unbounded.  Callers: ``skew_expand``,
+    ``lr_coefficient`` and superschur's ``_lr_pairs`` and
+    ``_skew_super_char`` with no bound, and the LR products of
+    ``schur_product`` and ``_polynomial_product`` on their ``_corner``
+    shape, bounded by the rank; perfbench's layer trace reads this
+    function and its cache by this name.
     """
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     n = len(cells)
+    highest = outer.length if bound is None else bound
     grid = [[0] * outer[r] for r in range(outer.length)]
     content = [0] * (outer.length + 1)
     tops = [0] * (n + 1)
@@ -188,10 +133,10 @@ def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int]
         v = row[c]
         if v:
             content[v - 1] -= 1
-        elif r and c >= inner.part(r - 1):
-            v = grid[r - 1][c]  # columns strictly increase
+        elif r:
+            v = grid[r - 1][c]  # columns strictly increase; a cell of inner reads 0
         v += 1
-        hi = row[c + 1] if c + 1 < outer[r] else tops[k] + 1  # rows weakly increase
+        hi = row[c + 1] if c + 1 < outer[r] else min(tops[k] + 1, highest)  # rows weakly increase
         while 1 < v <= hi and content[v - 2] <= content[v - 1]:
             v += 1  # lattice word
         if v > hi:
@@ -200,7 +145,7 @@ def _lr_count(outer: Partition, inner: Partition) -> Tuple[Tuple[Partition, int]
         else:
             row[c] = v
             content[v - 1] += 1
-            tops[k + 1] = max(tops[k], v)
+            tops[k + 1] = v if v > tops[k] else tops[k]
             k += 1
     # a lattice word's content is weakly decreasing and positive up to tops[n]
     return tuple((_trusted(nu), c) for nu, c in tally.items())
@@ -242,12 +187,14 @@ def _rational_tensor_cached(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, i
 @lru_cache(maxsize=4096)
 def _polynomial_product(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int], ...]:
     """Terms of ``rational_tensor(a, b)`` for two weights that end in 0,
-    the first of them the larger: one LR product of the two shapes, cut to
-    rank len(a) and padded to it.
+    the first of them the larger: the expansion of their ``_corner`` shape
+    with no label above the rank len(a), each shape padded to it.
+
+    Raw pairs that differ by powers of the determinant read one entry, so
+    they share its tuples and hit it without building the corner shape.
     """
     m = len(a)
-    product = schur_product(Partition(a), Partition(b), m)
-    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in product.items())
+    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in _lr_count(*_corner(a, b), m))
 
 
 def rational_tensor(a: GLWeight, b: GLWeight) -> Dict[GLWeight, int]:

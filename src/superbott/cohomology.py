@@ -291,20 +291,6 @@ def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _L
     return _LeviRow(tuple(_block_side(a, shape[column], offset) for shape in _box_shapes(rows, cols)))
 
 
-@lru_cache(maxsize=1024)
-def _dual_terms(
-    lam: Partition, m: int, n: int
-) -> Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]:
-    """``_super_schur_terms(lam, m, n)`` with both blocks of each weight dualized.
-
-    Memoized across calls like the restriction itself, for the 1024 most
-    recently used keys.
-    """
-    return tuple(
-        ((dual_weight(w0), dual_weight(w1)), c) for (w0, w1), c in _super_schur_terms(lam, m, n)
-    )
-
-
 def _e1_terms(
     spec: BundleSpec, by_exterior: bool
 ) -> Dict[int, Dict[int, Dict[Tuple[GLWeight, GLWeight], int]]]:
@@ -334,7 +320,7 @@ def _e1_terms(
 
     page: Dict[int, Dict[int, Dict[Tuple[GLWeight, GLWeight], int]]] = {}
     alpha_terms = _super_schur_terms(spec.alpha, mq, nq)
-    beta_terms = _dual_terms(spec.beta, p, q)
+    beta_terms = _super_schur_terms(spec.beta, p, q)
     if not alpha_terms or not beta_terms:
         return {}
 
@@ -355,8 +341,9 @@ def _e1_terms(
         (ca, _levi_row(a0, mq, q, _SIGMA_DUAL, p), _levi_row(a1, p, nq, _SIGMA_T_DUAL, q).sides)
         for (a0, a1), ca in alpha_terms
     ]
+    # the beta-terms enter dualized, both blocks of each weight
     betas = [
-        (cb, _levi_row(b1, mq, q, _SIGMA_T, 0), _levi_row(b0, p, nq, _SIGMA, 0).sides)
+        (cb, _levi_row(dual_weight(b1), mq, q, _SIGMA_T, 0), _levi_row(dual_weight(b0), p, nq, _SIGMA, 0).sides)
         for (b0, b1), cb in beta_terms
     ]
 

@@ -42,7 +42,6 @@ def test_every_functools_cache_is_bounded():
         "cohomology._block_side",
         "cohomology._box_shapes",
         "cohomology._closed_form_base",
-        "cohomology._dual_terms",
         "cohomology._interned",
         "cohomology._levi_bott_pairs",
         "cohomology._levi_row",
@@ -154,7 +153,6 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
     assert cold == warm
     for name in (
         "cohomology._closed_form_base",
-        "cohomology._dual_terms",
         "cohomology._interned",
         "cohomology._levi_bott_pairs",
         "cohomology._levi_row",

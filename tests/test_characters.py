@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from superbott.characters import (
     GradedCharacter,
     VirtualCharacter,
+    _lr_count,
     _polynomial_product,
     _rational_tensor_cached,
     dual_weight,
@@ -19,7 +20,7 @@ from superbott.characters import (
     weyl_dim,
 )
 from superbott.errors import SuperbottError
-from superbott.oracle import schur_expand_bruteforce
+from superbott.oracle import lr_bruteforce, schur_expand_bruteforce
 from superbott.partitions import (
     Partition,
     SkewShape,
@@ -119,8 +120,8 @@ def dominant_weights(rank, lo, hi):
 
 @st.composite
 def dominant_weight_pairs(draw):
-    """Two dominant weights of one rank <= 5, entries in [-3, 3]."""
-    rank = draw(st.integers(0, 5))
+    """Two dominant weights of one rank <= 7, entries in [-3, 3]."""
+    rank = draw(st.integers(0, 7))
     entries = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
     return tuple(sorted(draw(entries), reverse=True)), tuple(sorted(draw(entries), reverse=True))
 
@@ -165,16 +166,18 @@ def test_rational_tensor_shifts_with_its_factors():
 
 
 def test_shifted_pairs_share_one_polynomial_product():
+    # three raw pairs that shift to one unordered pair read one polynomial
+    # product, and so run one LR search, on its corner shape
     _rational_tensor_cached.cache_clear()
     _polynomial_product.cache_clear()
+    _lr_count.cache_clear()
     rational_tensor((2, 2, 0), (1, 0, 0))
-    misses = _polynomial_product.cache_info().misses
-    assert misses == 1
     # (3, 3, 1) and (2, 1, 1) end in 1: shifted by it, they are the pair above
     rational_tensor((3, 3, 1), (2, 1, 1))
     # the factors swapped are the same unordered pair
     rational_tensor((0, -1, -1), (1, 1, -1))
-    assert _polynomial_product.cache_info().misses == misses
+    assert _lr_count.cache_info().misses == 1
+    assert _polynomial_product.cache_info().misses == 1
     assert _rational_tensor_cached.cache_info().misses == 3
 
 
@@ -330,22 +333,27 @@ def test_schur_product_is_symmetric():
 
 
 def test_schur_product_grid_matches_bruteforce():
+    # every truncation: the oracle expands in enough variables for every
+    # shape, and the cap drops those with more rows than it
     shapes = [lam for n in range(6) for lam in partitions_of(n)]
     for lam in shapes:
         for mu in shapes:
-            got = schur_product(lam, mu, lam.length + mu.length)
-            assert got == schur_expand_bruteforce(lam, mu), (lam, mu)
+            full = schur_expand_bruteforce(lam, mu)
+            for cap in range(lam.length + mu.length + 1):
+                want = {nu: c for nu, c in full.items() if nu.length <= cap}
+                assert schur_product(lam, mu, cap) == want, (lam, mu, cap)
 
 
-def test_skew_expand_grid_matches_schur_product():
-    # lr_coefficient reads the skew expansion, so the reference is the
-    # strip-by-strip product search: c^outer_{inner, nu} from s_inner * s_nu
+def test_skew_expand_grid_matches_bruteforce():
+    # lr_coefficient and schur_product read the same skew search, so the
+    # reference is the oracle: c^outer_{inner, nu} from Jacobi's bialternant
+    # expansion of s_inner * s_nu
     for k in range(8):
         for outer in partitions_of(k):
             for inner in subpartitions(outer):
                 want = {}
                 for nu in partitions_of(k - inner.size):
-                    c = schur_product(inner, nu, outer.length).get(outer, 0)
+                    c = lr_bruteforce(inner, nu, outer)
                     if c:
                         want[nu] = c
                 assert skew_expand(SkewShape(outer, inner)) == want, (outer, inner)

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from superbott.characters import _lr_count, pad_weight, schur_product, weyl_dim
+from superbott.characters import _lr_count, pad_weight, weyl_dim
 from superbott.errors import PreconditionError
-from superbott.oracle import specialize_character, specialize_weight
+from superbott.oracle import lr_bruteforce, specialize_character, specialize_weight
 from superbott.partitions import Partition, partitions_of, subpartitions
 from superbott.superschur import (
     SuperDim,
@@ -156,7 +156,8 @@ def test_classical_rational_weight():
 
 def test_lr_pairs_match_per_delta_definition():
     # (delta, alpha, c) with c = c^lam_{alpha, delta^T}, enumerated per delta;
-    # _lr_pairs reads the skew expansion, so c comes from the product search
+    # _lr_pairs reads the skew search, so c comes from the oracle's
+    # bialternant expansion of s_alpha * s_(delta^T)
     for k in range(7):
         for lam in partitions_of(k):
             want = Counter()
@@ -164,7 +165,7 @@ def test_lr_pairs_match_per_delta_definition():
                 for delta in partitions_of(j, max_length=lam.part(0), max_part=lam.length):
                     for alpha in subpartitions(lam):
                         if alpha.size == k - j:
-                            c = schur_product(alpha, delta.transpose(), lam.length).get(lam, 0)
+                            c = lr_bruteforce(alpha, delta.transpose(), lam)
                             if c:
                                 want[delta, alpha, c] += 1
             assert Counter(_lr_pairs(lam)) == want, lam
