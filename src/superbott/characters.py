@@ -110,9 +110,10 @@ def _lr_count(
     rows; the default leaves labels unbounded.  Callers: ``skew_expand``,
     ``lr_coefficient`` and superschur's ``_lr_pairs`` and
     ``_skew_super_char`` with no bound, and the LR products of
-    ``schur_product`` and ``_polynomial_product`` on their ``_corner``
-    shape, bounded by the rank; perfbench's layer trace reads this
-    function and its cache by this name.
+    ``schur_product`` on their ``_corner`` shape, bounded by the rank;
+    ``_polynomial_product`` runs the search without this memo, through
+    ``_lr_search``, since it keeps its products itself.  perfbench's layer
+    trace reads this function and its cache by this name.
     """
     cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
     n = len(cells)
@@ -149,6 +150,11 @@ def _lr_count(
             k += 1
     # a lattice word's content is weakly decreasing and positive up to tops[n]
     return tuple((_trusted(nu), c) for nu, c in tally.items())
+
+
+# The search of _lr_count without its memo, bound once, so that a traced
+# _lr_count does not change which function the polynomial products run.
+_lr_search = _lr_count.__wrapped__
 
 
 def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
@@ -192,9 +198,11 @@ def _polynomial_product(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int],
 
     Raw pairs that differ by powers of the determinant read one entry, so
     they share its tuples and hit it without building the corner shape.
+    The search runs without ``_lr_count``'s memo, so each product is kept
+    once, here.
     """
     m = len(a)
-    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in _lr_count(*_corner(a, b), m))
+    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in _lr_search(*_corner(a, b), m))
 
 
 def rational_tensor(a: GLWeight, b: GLWeight) -> Dict[GLWeight, int]:
@@ -431,6 +439,8 @@ class GradedCharacter:
                 terms = dict(mine[deg].terms)
             elif deg not in mine:
                 terms = {key: -c for key, c in theirs[deg].terms.items()}
+            elif mine[deg].terms == theirs[deg].terms:
+                continue  # one dict comparison; most cross-checks agree
             else:
                 terms = dict(mine[deg].terms)
                 _merge(terms, theirs[deg].terms, -1)

@@ -1,6 +1,7 @@
 """Memos shared across calls: every cache is bounded, no caller can change one."""
 
 import importlib
+import json
 import pkgutil
 
 import pytest
@@ -8,11 +9,12 @@ import pytest
 import superbott
 from superbott import characters, cli, cohomology, superschur
 from superbott.characters import rational_tensor, skew_expand
-from superbott.cohomology import BundleSpec, HypothesisCase, hypothesis_case
+from superbott.cohomology import BundleSpec, HypothesisCase, e1_page, hypothesis_case
 from superbott.oracle import schur_monomials
 from superbott.partitions import Partition, SkewShape
 from superbott.qseries import flag_poincare
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
+from test_acceptance import case1_grid
 from test_superschur import RATIONAL_SCHUR_PINS
 
 
@@ -39,6 +41,7 @@ def test_every_functools_cache_is_bounded():
         "characters._lr_count",
         "characters._polynomial_product",
         "characters._rational_tensor_cached",
+        "cohomology._block_bott",
         "cohomology._block_side",
         "cohomology._box_shapes",
         "cohomology._closed_form_base",
@@ -61,7 +64,7 @@ def test_every_functools_cache_is_bounded():
     masks = range(1, row.ANSWERS + 64)
     for mask in masks:
         assert row[mask] == sum(
-            1 << i for i, side in enumerate(sides) if any(not other & mask for other, _, _ in side)
+            1 << i for i, side in enumerate(sides) if any(not other & mask for other, _, _ in side.value)
         )
     assert len(row) == row.ANSWERS
     assert [row[mask] for mask in masks] == [row[mask] for mask in masks]
@@ -152,6 +155,7 @@ def test_warm_and_cold_memos_give_the_same_bytes(capsys):
     cold = outputs(runs[::-1])[::-1]
     assert cold == warm
     for name in (
+        "cohomology._block_bott",
         "cohomology._closed_form_base",
         "cohomology._interned",
         "cohomology._levi_bott_pairs",
@@ -181,15 +185,53 @@ def test_odd_products_are_shared_by_content():
 
 
 def test_equal_bott_weights_are_one_object():
-    # the Bott memo interns what it keeps: two different pairs of block
-    # sides, (1 | 0) at degree 0 and (0 | 1) at degree 1, both give the
-    # weight (0, 0), and the two results hold one tuple for it
+    # the Bott tables are keyed by the ids of block sides: equal sides of
+    # different keys are one id, and two different pairs of sides, (1 | 0)
+    # at degree 0 and (0 | 1) at degree 1, both give the weight (0, 0), and
+    # the two results hold one tuple for it
     for cache in package_caches().values():
         cache.cache_clear()
     pairs = cohomology._levi_bott_pairs
     side = cohomology._block_side
-    ((d1, w1, _),) = pairs(side((0,), (0,), 1), side((0,), (0,), 0))
+    upper, lower = side((0,), (0,), 1), side((0,), (0,), 0)
+    assert side((1,), (-1,), 1) is upper
+    assert type(upper) is cohomology._Id and upper != lower
+    ((d1, w1, _),) = pairs(upper, lower)
     ((d2, w2, _),) = pairs(side((-1,), (0,), 1), side((1,), (0,), 0))
     assert (d1, d2) == (0, 1)
     assert w1 == w2 == (0, 0)
     assert w1 is w2
+
+
+def test_id_tables_reset_with_every_memo_keyed_by_ids(monkeypatch):
+    # a reset empties both id tables and every memo keyed by their ids, and
+    # ids made after it are new
+    # every fourth criterion-4 bundle with four nonzero classical ranks, and
+    # its CASE2 mirror
+    specs = [s for s in case1_grid() if s.p and s.q and s.m - s.p and s.n - s.q][::4]
+    specs += [BundleSpec(s.q, s.p, s.d.shifted(), s.alpha.transpose(), s.beta.transpose()) for s in specs]
+    assert len(specs) == 50
+
+    def pages():
+        return [json.dumps(e1_page(spec).to_json_obj(), sort_keys=True) for spec in specs]
+
+    for spec in specs[:5]:
+        e1_page(spec)
+    old = max(cohomology._sides.values())
+    cohomology._reset_ids()
+    assert not cohomology._sides and not cohomology._blocks
+    for name in ("_block_side", "_levi_row", "_levi_bott_pairs", "_block_bott"):
+        assert getattr(cohomology, name).cache_info().currsize == 0, name
+    cold = pages()
+    assert min(cohomology._sides.values()) > old
+    # with the tables' bound cut to 8 ids, they are cleared many times
+    # within each page, while rows and sides made before a reset are still
+    # read; every page prints the same bytes as the cold run
+    resets = []
+    reset = cohomology._reset_ids
+    reset()
+    monkeypatch.setattr(cohomology, "IDS", 8)
+    monkeypatch.setattr(cohomology, "_reset_ids", lambda: resets.append(reset()))
+    assert pages() == cold
+    assert len(resets) > len(specs)
+    assert len(cohomology._sides) <= 8 and len(cohomology._blocks) <= 8

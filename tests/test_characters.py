@@ -167,7 +167,8 @@ def test_rational_tensor_shifts_with_its_factors():
 
 def test_shifted_pairs_share_one_polynomial_product():
     # three raw pairs that shift to one unordered pair read one polynomial
-    # product, and so run one LR search, on its corner shape
+    # product, and so run one LR search, on its corner shape, which only
+    # the product keeps: _lr_count's memo is not used
     _rational_tensor_cached.cache_clear()
     _polynomial_product.cache_clear()
     _lr_count.cache_clear()
@@ -176,7 +177,7 @@ def test_shifted_pairs_share_one_polynomial_product():
     rational_tensor((3, 3, 1), (2, 1, 1))
     # the factors swapped are the same unordered pair
     rational_tensor((0, -1, -1), (1, 1, -1))
-    assert _lr_count.cache_info().misses == 1
+    assert _lr_count.cache_info().misses == 0
     assert _polynomial_product.cache_info().misses == 1
     assert _rational_tensor_cached.cache_info().misses == 3
 

@@ -24,7 +24,8 @@ from superbott.cohomology import (
     structure_sheaf_hilbert,
     verify_main_theorem,
 )
-from superbott.bott import LeviWeight, grassmannian_cohomology, kunneth
+from superbott import cohomology
+from superbott.bott import LeviWeight, bott, grassmannian_cohomology, kunneth, rho
 from superbott.characters import (
     GradedCharacter,
     VirtualCharacter,
@@ -291,6 +292,52 @@ def test_levi_bott_runs_on_every_surviving_cell_and_no_other():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [234, 1160]
+
+
+def test_id_keyed_bott_tables_match_bott_on_the_concatenated_weight(monkeypatch):
+    # every pair of block sides that the first page's Levi rows build on the
+    # criterion-4 grid and its CASE2 mirror: each side holds the rho-shifted
+    # terms of its rational_tensor, and the id-keyed Bott tables give, as a
+    # multiset, bott() on the concatenated unshifted weight of each pair of
+    # blocks that does not vanish
+    rows = []
+    levi_row = cohomology._levi_row
+
+    def recorded(a, n_rows, n_cols, column, offset):
+        row = levi_row(a, n_rows, n_cols, column, offset)
+        rows.append((a, n_rows, n_cols, column, offset, row))
+        return row
+
+    monkeypatch.setattr(cohomology, "_levi_row", recorded)
+    pairs = set()
+    for spec in case1_grid():
+        mirror = BundleSpec(spec.q, spec.p, spec.d.shifted(), spec.alpha.transpose(), spec.beta.transpose())
+        for bundle_spec in (spec, mirror):
+            rows.clear()
+            e1_page(bundle_spec)
+            by_column = {}
+            for a, n_rows, n_cols, column, offset, row in rows:
+                by_column.setdefault(column, []).append(row)
+                for shape, side in zip(_box_shapes(n_rows, n_cols), row.sides):
+                    unshifted = []
+                    for _, block, c in side.value:
+                        v = block.value[0]
+                        unshifted.append((tuple(x - (len(v) - 1 + offset - i) for i, x in enumerate(v)), c))
+                    assert sorted(unshifted) == sorted(rational_tensor(a, shape[column]).items())
+            for upper, lower in ((cohomology._SIGMA_DUAL, cohomology._SIGMA), (cohomology._SIGMA_T_DUAL, cohomology._SIGMA_T)):
+                for upper_row in by_column.get(upper, []):
+                    for lower_row in by_column.get(lower, []):
+                        pairs.update(product(upper_row.sides, lower_row.sides))
+    assert len(pairs) > 1000
+    for upper, lower in pairs:
+        expected = []
+        for _, u, c1 in upper.value:
+            for _, l, c2 in lower.value:
+                v = u.value[0] + l.value[0]
+                result = bott(tuple(x - r for x, r in zip(v, rho(len(v)))))
+                if result is not None:
+                    expected.append((*result, c1 * c2))
+        assert sorted(cohomology._levi_bott_pairs(upper, lower)) == sorted(expected)
 
 
 def test_e1_bigraded_totals_match():
