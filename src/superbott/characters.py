@@ -14,11 +14,13 @@ from .partitions import Partition, SkewShape, _trusted, contains
 GLWeight = Tuple[int, ...]
 
 
-def pad_weight(lam: Partition, m: int) -> GLWeight:
-    """Partition as a dominant GL(m) weight, padded with zeros."""
-    if lam.length > m:
+def pad_weight(lam: Tuple[int, ...], m: int) -> GLWeight:
+    """Partition, or a plain tuple of its parts, as a dominant GL(m) weight,
+    padded with zeros.
+    """
+    if len(lam) > m:
         raise ValueError(f"partition {lam} too long for rank {m}")
-    return tuple(lam.part(i) for i in range(m))
+    return tuple(lam) + (0,) * (m - len(lam))
 
 
 def dual_weight(w: GLWeight) -> GLWeight:
@@ -60,24 +62,25 @@ def lr_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     # can only give 0
     if not contains(lam, nu) or not contains(mu, nu):
         return 0
-    for x, c in _lr_count(nu, lam):
+    for x, c in _lr_count(tuple(nu), tuple(lam)):
         if x == mu:
             return c
     return 0
 
 
-def _corner(lam: GLWeight, mu: GLWeight) -> Tuple[Partition, Partition]:
+def _corner(lam: GLWeight, mu: GLWeight) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """The skew shape of two weakly decreasing shapes set corner to corner.
 
     Outer is lam moved right by mu_1 on top of mu, inner is (mu_1)^l(lam);
     trailing zeros of either shape are ignored.  The two parts share no row
     and no column, and the Schur function of such a skew shape is the
     product of its parts' (Macdonald I.5), so its expansion is s_lam * s_mu.
+    Both shapes are plain tuples, as ``_lr_count`` takes them.
     """
     shift = mu[0] if mu else 0
     top = tuple(x + shift for x in lam if x)
     inner = (shift,) * len(top) if shift else ()
-    return _trusted(top + tuple(x for x in mu if x)), _trusted(inner)
+    return top + tuple(x for x in mu if x), inner
 
 
 def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partition, int]:
@@ -90,14 +93,21 @@ def schur_product(lam: Partition, mu: Partition, max_length: int) -> Dict[Partit
     lam, mu = Partition(lam), Partition(mu)
     if lam.length > max_length:
         return {}
-    return dict(_lr_count(*_corner(lam, mu), max_length))
+    return {_trusted(nu): c for nu, c in _lr_count(*_corner(lam, mu), max_length)}
 
 
 @lru_cache(maxsize=4096)
 def _lr_count(
-    outer: Partition, inner: Partition, bound: int | None = None
-) -> Tuple[Tuple[Partition, int], ...]:
+    outer: Tuple[int, ...], inner: Tuple[int, ...], bound: int | None = None
+) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
     """Count the LR tableaux of outer/inner by content: pairs (nu, c^outer_{inner, nu}).
+
+    The shapes, the keys and each nu are plain tuples of parts, never a
+    ``Partition``: a tuple subclass is never untracked by the cyclic
+    collector, while a tuple that holds only ints and such tuples is, once
+    collected, so the memo costs the collector nothing once its entries
+    are old.  The public callers make a
+    ``Partition`` of each nu they return.
 
     Cells are filled in reverse reading order (rows top to bottom, each row
     right to left) with free content: rows weakly increase, columns strictly
@@ -115,11 +125,13 @@ def _lr_count(
     ``_lr_search``, since it keeps its products itself.  perfbench's layer
     trace reads this function and its cache by this name.
     """
-    cells = [(r, c) for r in range(outer.length) for c in range(outer[r] - 1, inner.part(r) - 1, -1)]
+    rows = len(outer)
+    inner += (0,) * (rows - len(inner))
+    cells = [(r, c) for r in range(rows) for c in range(outer[r] - 1, inner[r] - 1, -1)]
     n = len(cells)
-    highest = outer.length if bound is None else bound
-    grid = [[0] * outer[r] for r in range(outer.length)]
-    content = [0] * (outer.length + 1)
+    highest = rows if bound is None else bound
+    grid = [[0] * outer[r] for r in range(rows)]
+    content = [0] * (rows + 1)
     tops = [0] * (n + 1)
     tally: Dict[Tuple[int, ...], int] = {}
     k = 0
@@ -149,7 +161,7 @@ def _lr_count(
             tops[k + 1] = v if v > tops[k] else tops[k]
             k += 1
     # a lattice word's content is weakly decreasing and positive up to tops[n]
-    return tuple((_trusted(nu), c) for nu, c in tally.items())
+    return tuple(tally.items())
 
 
 # The search of _lr_count without its memo, bound once, so that a traced
@@ -164,7 +176,7 @@ def skew_expand(shape: SkewShape) -> Dict[Partition, int]:
     across calls, for the 4096 most recently used (outer, inner) pairs; each
     call returns a fresh dict.
     """
-    return dict(_lr_count(shape.outer, shape.inner))
+    return {_trusted(nu): c for nu, c in _lr_count(tuple(shape.outer), tuple(shape.inner))}
 
 
 @lru_cache(maxsize=4096)
@@ -202,7 +214,7 @@ def _polynomial_product(a: GLWeight, b: GLWeight) -> Tuple[Tuple[GLWeight, int],
     once, here.
     """
     m = len(a)
-    return tuple((nu + (0,) * (m - nu.length), c) for nu, c in _lr_search(*_corner(a, b), m))
+    return tuple((nu + (0,) * (m - len(nu)), c) for nu, c in _lr_search(*_corner(a, b), m))
 
 
 def rational_tensor(a: GLWeight, b: GLWeight) -> Dict[GLWeight, int]:

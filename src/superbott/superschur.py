@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm
 from operator import neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
@@ -18,7 +19,7 @@ from .characters import (
     pad_weight,
 )
 from .errors import PreconditionError
-from .partitions import Partition, _Value, contains, partitions_in_box, subpartitions
+from .partitions import Partition, _trusted, _Value, contains, partitions_in_box, subpartitions
 
 
 class SuperDim(_Value):
@@ -43,10 +44,10 @@ class SuperWeight(NamedTuple):
 
 
 # One odd factor X_alpha on GL(n): ((delta padded to n, c), ...) with
-# c = c^lam_{alpha, delta^T}; the odd factors of one shape pair each alpha
-# with its factor.
+# c = c^lam_{alpha, delta^T}.
 _OddFactor = Tuple[Tuple[GLWeight, int], ...]
-_OddFactors = Tuple[Tuple[Partition, _OddFactor], ...]
+# The odd factors of one shape: (alpha, factor id) pairs, alpha a plain tuple.
+_OddFactors = Tuple[Tuple[Tuple[int, ...], int], ...]
 
 # A product of odd factors: its weights and, in the same order, their
 # multiplicities.
@@ -55,43 +56,95 @@ _OddProduct = Tuple[Tuple[GLWeight, ...], Tuple[int, ...]]
 # Terms of a restricted super Schur functor: ((w0, w1), multiplicity) pairs.
 _SuperTerms = Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]
 
+# Hash-consing (Filliatre and Conchon, "Type-safe modular hash-consing",
+# 2006): each distinct odd factor has one plain int id, so ``_odd_product``
+# hashes two ints, and every memo the closed form reads holds only plain
+# tuples and ints, which the cyclic collector untracks.  Ids come from one
+# monotone counter and are never reused.  The tables hold at most FACTORS
+# factors plus those of one call: a reader (``rational_schur_char``, or a
+# miss of ``_super_schur_terms``) clears them, with the two memos that hold
+# their ids, when it starts with the tables full, so no running call holds
+# a cleared id.
+FACTORS = 4096
+_factor_ids: Dict[_OddFactor, int] = {}
+_factors: Dict[int, _OddFactor] = {}
+_next_factor = count()
+
+
+def _reset_factors() -> None:
+    """Clear both factor tables and the two memos that hold factor ids."""
+    _factor_ids.clear()
+    _factors.clear()
+    _odd_factors.cache_clear()
+    _odd_product.cache_clear()
+
+
+def _start_reader() -> None:
+    """Called by each reader first: clear the factor tables if they are full."""
+    if len(_factors) >= FACTORS:
+        _reset_factors()
+
 
 @lru_cache(maxsize=1024)
-def _odd_factors(lam: Partition, n: int) -> _OddFactors:
+def _odd_factors(lam: Tuple[int, ...], n: int) -> _OddFactors:
     """The odd factors X_alpha = sum_delta c^lam_{alpha, delta^T} s_delta of
-    lam on GL(n) (Macdonald I.5), one per alpha inside lam.
+    lam on GL(n) (Macdonald I.5), one per alpha inside lam, as pairs of
+    alpha and the id of X_alpha; ``_factors`` maps the id to the factor.
 
     ``_lr_pairs(lam)`` grouped by alpha, in its order, with each delta of at
     most n rows padded to a GL(n) weight; an alpha with no such delta is
     left out.  The table depends on (lam, n) alone, so it is memoized for
     the 1024 most recently used keys and shared by the super Schur
-    restriction and both sides of the closed form.
+    restriction and both sides of the closed form; lam is a plain tuple.
+    Only a reader clears the ids, at its start, never this function.
     """
     groups: Dict[Partition, List[Tuple[GLWeight, int]]] = {}
     for delta, alpha, c in _lr_pairs(lam):
         if delta.length <= n:
             groups.setdefault(alpha, []).append((pad_weight(delta, n), c))
-    return tuple((alpha, tuple(x)) for alpha, x in groups.items())
+    out = []
+    for alpha, x in groups.items():
+        x = tuple(x)
+        found = _factor_ids.get(x)
+        if found is None:
+            found = _factor_ids[x] = next(_next_factor)
+            _factors[found] = x
+        out.append((tuple(alpha), found))
+    return tuple(out)
 
 
 @lru_cache(maxsize=16384)
-def _odd_product(x: _OddFactor, y: _OddFactor) -> _OddProduct:
-    """The GL(n) product X * Y^* of two odd factors, as two parallel tuples
-    (weights, multiplicities).
+def _odd_product(x: int, y: int) -> _OddProduct:
+    """The GL(n) product X * Y^* of two odd factors, given by their ids, as
+    two parallel tuples (weights, multiplicities).
 
-    x and y are factors read from ``_odd_factors`` tables; y is dualized here.
-    The product depends on the two factors alone, and factors of different
-    shapes are often equal, so it is memoized for the 16384 most recently
-    used pairs.
+    y is dualized here.  The product depends on the two factors alone, and
+    factors of different shapes are often equal, so it is memoized for the
+    16384 most recently used pairs of ids.
     """
     odd: Dict[GLWeight, int] = {}
-    for gamma_w, c2 in y:
+    x_terms = _factors[x]
+    for gamma_w, c2 in _factors[y]:
         gamma_w = dual_weight(gamma_w)
-        for delta_w, c1 in x:
+        for delta_w, c1 in x_terms:
             c12 = c1 * c2
             for w1, c3 in _rational_tensor_cached(gamma_w, delta_w):
                 odd[w1] = odd.get(w1, 0) + c12 * c3
     return tuple(odd), tuple(odd.values())
+
+
+@lru_cache(maxsize=2 ** 15)
+def _even_weight(alpha: Tuple[int, ...], beta: Tuple[int, ...], m: int) -> GLWeight | None:
+    """``classical_rational_weight(alpha, beta, m)`` for plain tuples, one
+    shared tuple per key.
+
+    Each (alpha, beta) pair of a closed form reads its w0 here, so a key
+    (w0, w1) of its character holds two old, untracked tuples and is
+    untracked when it is first collected.  Memoized for the 32768 most recently
+    used keys (one seed-1 pass of the closed-form benchmark asks for about
+    23,100).
+    """
+    return classical_rational_weight(alpha, beta, m)
 
 
 @lru_cache(maxsize=1024)
@@ -100,14 +153,16 @@ def _super_schur_terms(lam: Partition, m: int, n: int) -> _SuperTerms:
 
     The restriction depends on (lam, m, n) alone, so it is memoized across
     calls, for the 1024 most recently used keys; the first page reads this
-    tuple directly, and no caller can change it.
+    tuple directly, and no caller can change it.  A miss is a reader of
+    the factor ids.
     """
+    _start_reader()
     # each alpha, and each delta of one skew expansion, occurs once: no key repeats
     terms = []
-    for alpha, x in _odd_factors(lam, n):
-        if alpha.length <= m:
+    for alpha, x in _odd_factors(tuple(lam), n):
+        if len(alpha) <= m:
             w0 = pad_weight(alpha, m)
-            terms.extend(((w0, delta_w), c) for delta_w, c in x)
+            terms.extend(((w0, delta_w), c) for delta_w, c in _factors[x])
     return tuple(terms)
 
 
@@ -125,9 +180,10 @@ def super_schur_decompose(lam: Partition, d: SuperDim) -> VirtualCharacter:
 
 def _lr_pairs(lam: Partition) -> Iterator[Tuple[Partition, Partition, int]]:
     """Triples (delta, alpha, c) with c = c^lam_{alpha, delta^T} nonzero."""
+    outer = tuple(lam)
     for alpha in subpartitions(lam):
-        for dt, c in _lr_count(lam, alpha):
-            yield dt.transpose(), alpha, c
+        for dt, c in _lr_count(outer, tuple(alpha)):
+            yield _trusted(dt).transpose(), alpha, c
 
 
 def classical_rational_weight(alpha: Partition, beta: Partition, m: int) -> GLWeight | None:
@@ -158,25 +214,25 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
 
     X_alpha is read from ``_odd_factors(lam, n)`` and Y_beta from
     ``_odd_factors(mu, n)``, so the LR work of a shape is shared by every
-    call on it, and their product from ``_odd_product``, so equal factors
-    of different shapes share one product.  w0 depends on alpha only
-    through alpha and its length, so each beta builds its tail
-    (0, ..., 0, -beta reversed) once per length of alpha.
+    call on it, and their product from ``_odd_product`` by the two factor
+    ids, so equal factors of different shapes share one product.  w0 is
+    read from ``_even_weight``, one shared tuple per (alpha, beta, m).  So
+    each key (w0, w1) holds two tuples that the memos keep, and no object
+    the memos keep is one the cyclic collector tracks.  A call is a reader
+    of the factor ids: it may clear them as it starts, never later.
     """
     lam, mu = Partition(lam), Partition(mu)
     m, n = d.m, d.n
     if m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
-    xs = _odd_factors(lam, n)
-    lengths = {len(alpha) for alpha, _ in xs}
+    _start_reader()
+    xs = _odd_factors(tuple(lam), n)
     terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
-    for beta, y in _odd_factors(mu, n):
-        tails = {k: classical_rational_weight((), beta, m - k) for k in lengths}
+    for beta, y in _odd_factors(tuple(mu), n):
         for alpha, x in xs:
-            tail = tails[len(alpha)]
-            if tail is None:
+            w0 = _even_weight(alpha, beta, m)
+            if w0 is None:
                 continue
-            w0 = alpha + tail
             weights, coeffs = _odd_product(x, y)
             for w1, c in zip(weights, coeffs):
                 terms[w0, w1] = c
@@ -186,8 +242,8 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
 def _skew_super_char(outer: Partition, inner: Partition, d: SuperDim) -> VirtualCharacter:
     """Character of the skew super Schur functor of outer/inner on m|n."""
     terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
-    for nu, c in _lr_count(outer, inner):
-        _merge(terms, super_schur_decompose(nu, d).terms, c)
+    for nu, c in _lr_count(tuple(outer), tuple(inner)):
+        _merge(terms, super_schur_decompose(_trusted(nu), d).terms, c)
     return VirtualCharacter._trusted(d.m, d.n, terms)
 
 

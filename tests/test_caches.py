@@ -1,8 +1,10 @@
 """Memos shared across calls: every cache is bounded, no caller can change one."""
 
+import gc
 import importlib
 import json
 import pkgutil
+import sys
 
 import pytest
 
@@ -51,6 +53,7 @@ def test_every_functools_cache_is_bounded():
         "oracle._schur_expand_cached",
         "oracle.schur_monomials",
         "qseries._flag_poincare_coeffs",
+        "superschur._even_weight",
         "superschur._odd_factors",
         "superschur._odd_product",
         "superschur._super_schur_terms",
@@ -182,6 +185,119 @@ def test_odd_products_are_shared_by_content():
     _, x = superschur._odd_factors(Partition((2, 1)), 2)[0]
     weights, coeffs = superschur._odd_product(x, x)
     assert type(weights) is tuple and type(coeffs) is tuple and len(weights) == len(coeffs) > 0
+
+
+def _plain(value):
+    """Whether value is an int, None, or a plain tuple of such values."""
+    if value is None or type(value) is int:
+        return True
+    return type(value) is tuple and all(map(_plain, value))
+
+
+def test_closed_form_memos_hold_nothing_the_collector_tracks(monkeypatch):
+    # a tuple subclass such as Partition is never untracked by the cyclic
+    # collector, while a tuple that holds only untracked values is untracked
+    # when it is collected: every value the closed form's memos return is
+    # untracked once collected, and every argument they are keyed by is
+    # plain
+    for cache in package_caches().values():
+        cache.cache_clear()
+    superschur._reset_factors()
+    seen = {}
+
+    def recorded(name, memo):
+        def call(*args):
+            result = memo(*args)
+            seen.setdefault(name, []).append((args, result))
+            return result
+
+        return call
+
+    for name in ("_lr_count", "_odd_factors", "_odd_product", "_even_weight"):
+        monkeypatch.setattr(superschur, name, recorded(name, getattr(superschur, name)))
+    shapes = [((2, 1), (1,), 3, 2), ((1,), (1,), 1, 1), ((3, 1), (2, 2), 4, 0)] + RATIONAL_SCHUR_PINS[:3]
+    for alpha, beta, m, n in shapes:
+        rational_schur_char(Partition(alpha), Partition(beta), SuperDim(m, n))
+    # a tuple is untracked only after its items are; tuple() of an iterator
+    # makes the tuple before its items, so each level of nesting may take
+    # one more collection
+    for _ in range(3):
+        gc.collect()
+    assert sorted(seen) == ["_even_weight", "_lr_count", "_odd_factors", "_odd_product"]
+    # the pair (2, 1; 1) of rank 1 collides: its even weight is None
+    assert None in (result for _, result in seen["_even_weight"])
+    for name, calls in seen.items():
+        for args, result in calls:
+            assert _plain(args), (name, args)
+            assert _plain(result) and not gc.is_tracked(result), (name, args)
+
+
+# Closed forms and restrictions, each a reader of the factor ids: no
+# restriction repeats a (lam, m, n), so each misses _super_schur_terms.
+FACTOR_READERS = [
+    ("rational", (2, 1), (1,), 3, 2),
+    ("super", (3, 1), 2, 2),
+    ("rational", (4, 3, 2, 1), (3, 3, 1, 1), 9, 3),
+    ("super", (2, 2, 1), 3, 1),
+    ("rational", (2, 1), (1,), 3, 2),
+    ("rational", (3, 2, 2, 2, 1), (2, 1, 1), 9, 3),
+    ("super", (3, 1), 1, 2),
+    ("rational", (5, 2, 2), (2, 2), 4, 3),
+    ("super", (4, 2, 1), 2, 3),
+    ("rational", (1, 1), (2,), 2, 3),
+]
+
+
+def test_factor_ids_are_bounded_and_cleared_only_when_a_reader_starts(monkeypatch):
+    def calls():
+        for kind, *args in FACTOR_READERS:
+            if kind == "rational":
+                lam, mu, m, n = args
+                char = rational_schur_char(Partition(lam), Partition(mu), SuperDim(m, n))
+                shapes = [(lam, n), (mu, n)]
+            else:
+                lam, m, n = args
+                char = super_schur_decompose(Partition(lam), SuperDim(m, n))
+                shapes = [(lam, n)]
+            yield json.dumps(char.to_json_obj()), shapes
+
+    for cache in package_caches().values():
+        cache.cache_clear()
+    superschur._reset_factors()
+    cold = [out for out, _ in calls()]
+    # a reset empties both tables and the two memos keyed by their ids
+    assert superschur._factors
+    old = max(superschur._factors)
+    superschur._reset_factors()
+    assert not superschur._factors and not superschur._factor_ids
+    for memo in (superschur._odd_factors, superschur._odd_product):
+        assert memo.cache_info().currsize == 0
+    # with the bound cut to 1 id, every reader that finds an id clears the
+    # tables as it starts, and no call clears them later: every call prints
+    # the same bytes as the cold run, its ids are new, and the tables hold
+    # no more than the bound plus the factors of the call
+    for cache in package_caches().values():
+        cache.cache_clear()
+    resets = []
+    reset = superschur._reset_factors
+
+    def recorded_reset():
+        resets.append(sys._getframe(2).f_code.co_name)
+        reset()
+
+    monkeypatch.setattr(superschur, "FACTORS", 1)
+    monkeypatch.setattr(superschur, "_reset_factors", recorded_reset)
+    bounded = []
+    for out, shapes in calls():
+        bounded.append(out)
+        size = len(superschur._factors)
+        ids = {x for lam, n in shapes for _, x in superschur._odd_factors(lam, n)}
+        assert size <= 1 + len(ids)
+        assert set(superschur._factors) <= ids
+        assert min(superschur._factors, default=old + 1) > old
+    assert bounded == cold
+    assert len(resets) >= len(FACTOR_READERS) - 1
+    assert set(resets) == {"rational_schur_char", "_super_schur_terms"}
 
 
 def test_equal_bott_weights_are_one_object():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from superbott import superschur
 from superbott.characters import _lr_count, pad_weight, weyl_dim
 from superbott.errors import PreconditionError
 from superbott.oracle import lr_bruteforce, specialize_character, specialize_weight
@@ -190,7 +191,8 @@ def test_odd_factor_table_is_the_per_triple_definition():
                     if delta.length <= n:
                         grouped.setdefault(alpha, []).append((pad_weight(delta, n), c))
                 want = tuple((alpha, tuple(x)) for alpha, x in grouped.items())
-                assert _odd_factors(lam, n) == want, (lam, n)
+                got = tuple((alpha, superschur._factors[x]) for alpha, x in _odd_factors(lam, n))
+                assert got == want, (lam, n)
                 for m in range(5):
                     assert _super_schur_terms(lam, m, n) == per_triple_terms(lam, m, n), (lam, m, n)
                     cases += 1
@@ -279,11 +281,18 @@ def rational_schur_inputs(draw):
 
 
 @settings(derandomize=True, deadline=None)
-@given(rational_schur_inputs())
-def test_rational_schur_dim_matches_determinant_property(inputs):
+@given(rational_schur_inputs(), st.data())
+def test_rational_schur_dim_matches_determinant_property(inputs, data):
+    # the dimension at all-ones points, then the whole character at distinct
+    # nonzero rational points: the determinant reads no LR coefficient
     lam, mu, d = inputs
+    char = rational_schur_char(lam, mu, d)
     ones = ([1] * d.m, [1] * d.n)
-    assert rational_schur_char(lam, mu, d).total_dim() == composite_det_specialized(lam, mu, d, ones)
+    assert char.total_dim() == composite_det_specialized(lam, mu, d, ones)
+    point = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5))
+    points = data.draw(st.lists(point, min_size=d.m + d.n, max_size=d.m + d.n, unique=True))
+    pts = (points[: d.m], points[d.m :])
+    assert specialize_character(char, *pts) == composite_det_specialized(lam, mu, d, pts)
 
 
 def _leibniz(mat):
