@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from enum import Enum
 from functools import lru_cache
-from itertools import count
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -29,7 +28,7 @@ from .characters import (
     rational_tensor,
 )
 from .errors import HypothesisError, TermLimitError
-from .partitions import Partition, _Value, partitions_in_box
+from .partitions import Partition, _HashCons, _Value, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
 from .superschur import SuperDim, _super_schur_terms, rational_schur_char
 
@@ -166,51 +165,20 @@ def _structure_sheaf_hilbert(spec: BundleSpec | FlagSpec, case: HypothesisCase) 
     raise HypothesisError(spec.hypothesis_message)
 
 
-# Hash-consing (Filliatre and Conchon, "Type-safe modular hash-consing",
-# 2006): each distinct rho-shifted block and each distinct block side is one
-# _Id, an int whose value is its id, so a memo keyed by blocks or sides
-# hashes a key in constant time.  Ids come from one monotone counter and are
-# never reused, and an _Id carries what it stands for, so one made before a
-# reset (see _reset_ids) stays valid wherever it is still held.
-IDS = 4096  # entries of each id table
-_ids = count()
+# Each distinct rho-shifted block (weight, entry_mask) and each distinct
+# block side ((entry_mask, block id, multiplicity), ...) has one plain int
+# id in _block_table, so a memo keyed by blocks or sides hashes ints.  The
+# reader of the ids is ``_e1_terms``, one first page.
+_block_table = _HashCons()
 
 
-class _Id(int):
-    """A hash-consed value, equal to and hashed as its id; ``value`` is the value."""
-
-
-# (rho-shifted block, its entry_mask) -> _Id
-_blocks: Dict[Tuple[GLWeight, int], _Id] = {}
-# ((entry_mask, block _Id, multiplicity), ...) -> _Id
-_sides: Dict[Tuple[Tuple[int, _Id, int], ...], _Id] = {}
-
-
-def _consed(table: dict, value: tuple) -> _Id:
-    """The one _Id of ``value`` in its id table, made on first use."""
-    found = table.get(value)
-    if found is None:
-        if len(table) >= IDS:
-            _reset_ids()
-        found = table[value] = _Id(next(_ids))
-        found.value = value
-    return found
-
-
-def _reset_ids() -> None:
-    """Clear both id tables and every memo keyed by their ids."""
-    _blocks.clear()
-    _sides.clear()
-    for memo in (_block_side, _levi_row, _levi_bott_pairs, _block_bott):
-        memo.cache_clear()
-
-
+@_block_table.holds
 @lru_cache(maxsize=4096)
-def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _Id:
+def _block_side(a: GLWeight, b: GLWeight, offset: int) -> int:
     """Terms of rational_tensor(a, b) as rho-shifted Levi blocks (see rho_shift).
 
-    A block side is an _Id whose value holds (entry_mask, block _Id,
-    multiplicity) for each term; equal sides of different keys are one _Id.
+    A block side is the id of a tuple that holds (entry_mask, block id,
+    multiplicity) for each term; equal sides of different keys are one id.
     The result depends on (a, b, offset) alone, so it is memoized across
     calls, for the 4096 most recently used keys (one pass of 3070 small
     bundles looks up 11,100 keys, about 3,110 of them distinct, and makes
@@ -220,8 +188,8 @@ def _block_side(a: GLWeight, b: GLWeight, offset: int) -> _Id:
     for w, c in rational_tensor(a, b).items():
         v = rho_shift(w, offset)
         mask = entry_mask(v)
-        blocks.append((mask, _consed(_blocks, (v, mask)), c))
-    return _consed(_sides, tuple(blocks))
+        blocks.append((mask, _block_table.id((v, mask)), c))
+    return _block_table.id(tuple(blocks))
 
 
 @lru_cache(maxsize=8192)
@@ -235,19 +203,22 @@ def _interned(value: tuple) -> tuple:
     return value
 
 
+@_block_table.holds
 @lru_cache(maxsize=8192)
-def _block_bott(upper: _Id, lower: _Id) -> Tuple[int, GLWeight]:
+def _block_bott(upper: int, lower: int) -> Tuple[int, GLWeight]:
     """``levi_bott`` on two blocks that share no entry, keyed by their ids.
 
     One pass of 3070 small bundles asks for 10,870 pairs, 3,440 of them
     distinct; the weight is ``_interned``.
     """
-    degree, w = levi_bott(*upper.value, *lower.value)
+    blocks = _block_table.values
+    degree, w = levi_bott(*blocks[upper], *blocks[lower])
     return degree, _interned(w)
 
 
+@_block_table.holds
 @lru_cache(maxsize=16384)
-def _levi_bott_pairs(upper: _Id, lower: _Id) -> Tuple[Tuple[int, GLWeight, int], ...]:
+def _levi_bott_pairs(upper: int, lower: int) -> Tuple[Tuple[int, GLWeight, int], ...]:
     """(degree, weight, multiplicity) of Bott on each surviving pair of blocks.
 
     ``upper`` and ``lower`` are block sides (see ``_block_side``), so the
@@ -258,9 +229,10 @@ def _levi_bott_pairs(upper: _Id, lower: _Id) -> Tuple[Tuple[int, GLWeight, int],
     The result and each of its triples are ``_interned``, and no caller can
     change them.
     """
+    sides = _block_table.values
     out = []
-    for um, u, c1 in upper.value:
-        for lm, l, c2 in lower.value:
+    for um, u, c1 in sides[upper]:
+        for lm, l, c2 in sides[lower]:
             if not um & lm:
                 degree, w = _block_bott(u, l)
                 out.append(_interned((degree, w, c1 * c2)))
@@ -293,7 +265,7 @@ def _box_shapes(
 class _LeviRow(dict):
     """One term's Levi block sides over one box, and which of them a mask reaches.
 
-    ``sides`` is a tuple of block sides (see ``_block_side``), one per shape
+    ``sides`` is a tuple of block side ids (see ``_block_side``), one per shape
     of the box.  ``row[mask]`` is the bit set of the positions whose side
     holds a block that shares no entry with the entry mask; the row keeps
     the answers to the first ANSWERS masks asked, so a kept answer is read
@@ -306,7 +278,7 @@ class _LeviRow(dict):
     # of one row
     ANSWERS = 256
 
-    def __init__(self, sides: Tuple[_Id, ...]) -> None:
+    def __init__(self, sides: Tuple[int, ...]) -> None:
         self.sides = sides
         self.masks = None
 
@@ -316,8 +288,9 @@ class _LeviRow(dict):
             # on the first miss: the rows of odd upper and even lower sides
             # are never asked
             positions: Dict[int, int] = {}
+            values = _block_table.values
             for i, side in enumerate(self.sides):
-                for other, _, _ in side.value:
+                for other, _, _ in values[side]:
                     positions[other] = positions.get(other, 0) | 1 << i
             self.masks = tuple(positions)
             self.wheres = tuple(positions.values())
@@ -330,6 +303,7 @@ class _LeviRow(dict):
         return bits
 
 
+@_block_table.holds
 @lru_cache(maxsize=4096)
 def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _LeviRow:
     """The row of ``_block_side(a, shape[column], offset)`` for each shape of the box.
@@ -382,9 +356,9 @@ def _e1_terms(
     # a rows x cols box holds comb(rows + cols, rows) partitions, so the
     # budget is checked before any shape table is built
     budget = _max_terms()
-    count = len(alpha_terms) * len(beta_terms) * comb(p + nq, p) * comb(mq + q, q)
-    if count > budget:
-        raise TermLimitError(f"expansion of {count} terms exceeds budget {budget}")
+    size = len(alpha_terms) * len(beta_terms) * comb(p + nq, p) * comb(mq + q, q)
+    if size > budget:
+        raise TermLimitError(f"expansion of {size} terms exceeds budget {budget}")
     # lam in the p x (n - q) box pairs the sub bundle on the even side with
     # the dual quotient on the odd side, nu in the (m - p) x q box the reverse
     lams = _box_shapes(p, nq)
@@ -392,6 +366,10 @@ def _e1_terms(
     # the exterior degree of each shape, or 0 for all of them
     lam_sizes = [shape[0] if by_exterior else 0 for shape in lams]
     nu_sizes = [shape[0] if by_exterior else 0 for shape in nus]
+    # the page is the reader of the block ids: it may clear them here,
+    # before its first row, never later
+    _block_table.start()
+    sides = _block_table.values
     alphas = [
         (ca, _levi_row(a0, mq, q, _SIGMA_DUAL, p), _levi_row(a1, p, nq, _SIGMA_T_DUAL, q).sides)
         for (a0, a1), ca in alpha_terms
@@ -409,12 +387,12 @@ def _e1_terms(
                 # upper is the quotient block, lower the sub block; bit j
                 # stands for the cell of nus[j], walked in ascending j
                 cells = 0
-                for mask, _, _ in even_lower_side.value:
+                for mask, _, _ in sides[even_lower_side]:
                     cells |= eu[mask]
                 if not cells:
                     continue
                 odd = 0
-                for mask, _, _ in odd_upper_side.value:
+                for mask, _, _ in sides[odd_upper_side]:
                     odd |= ol[mask]
                 cells &= odd
                 while cells:

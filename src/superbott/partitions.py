@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Iterable, Iterator
 
 
@@ -141,6 +142,52 @@ class _Value:
         raise AttributeError(f"cannot assign to or delete field {name!r}")
 
     __delattr__ = __setattr__
+
+
+class _HashCons:
+    """One hash-consing table (Filliatre and Conchon, "Type-safe modular
+    hash-consing", 2006): each distinct value gets one plain int id, so a
+    memo keyed by values hashes ints, and a memo of ints and plain tuples
+    is one the cyclic collector untracks.
+
+    ``ids`` maps each value to its id and ``values`` each id back to its
+    value.  Ids come from one counter for the whole package and are never
+    reused.  A reader of the ids calls ``start()`` first; it clears the
+    table, and every memo registered with ``holds``, only when the table
+    has BOUND entries, so the table keeps at most BOUND ids plus those of
+    one call and no running reader holds a cleared id.
+    """
+
+    __slots__ = ("ids", "values", "memos")
+
+    BOUND = 4096
+    _counter = count()
+
+    def __init__(self) -> None:
+        self.ids: dict = {}
+        self.values: dict = {}
+        self.memos: list = []
+
+    def id(self, value: tuple) -> int:
+        """The one id of ``value``, made on first use."""
+        found = self.ids.get(value)
+        if found is None:
+            found = self.ids[value] = next(self._counter)
+            self.values[found] = value
+        return found
+
+    def holds(self, memo):
+        """Register a memo that is keyed by or returns ids; returns it."""
+        self.memos.append(memo)
+        return memo
+
+    def start(self) -> None:
+        """Called by each reader first: clear the table and its memos if it is full."""
+        if len(self.values) >= self.BOUND:
+            self.ids.clear()
+            self.values.clear()
+            for memo in self.memos:
+                memo.cache_clear()
 
 
 class SkewShape(_Value):

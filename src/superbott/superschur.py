@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import lcm
 from operator import neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
@@ -19,7 +18,7 @@ from .characters import (
     pad_weight,
 )
 from .errors import PreconditionError
-from .partitions import Partition, _trusted, _Value, contains, partitions_in_box, subpartitions
+from .partitions import Partition, _HashCons, _trusted, _Value, contains, partitions_in_box, subpartitions
 
 
 class SuperDim(_Value):
@@ -43,9 +42,6 @@ class SuperWeight(NamedTuple):
     odd: GLWeight
 
 
-# One odd factor X_alpha on GL(n): ((delta padded to n, c), ...) with
-# c = c^lam_{alpha, delta^T}.
-_OddFactor = Tuple[Tuple[GLWeight, int], ...]
 # The odd factors of one shape: (alpha, factor id) pairs, alpha a plain tuple.
 _OddFactors = Tuple[Tuple[Tuple[int, ...], int], ...]
 
@@ -56,40 +52,20 @@ _OddProduct = Tuple[Tuple[GLWeight, ...], Tuple[int, ...]]
 # Terms of a restricted super Schur functor: ((w0, w1), multiplicity) pairs.
 _SuperTerms = Tuple[Tuple[Tuple[GLWeight, GLWeight], int], ...]
 
-# Hash-consing (Filliatre and Conchon, "Type-safe modular hash-consing",
-# 2006): each distinct odd factor has one plain int id, so ``_odd_product``
-# hashes two ints, and every memo the closed form reads holds only plain
-# tuples and ints, which the cyclic collector untracks.  Ids come from one
-# monotone counter and are never reused.  The tables hold at most FACTORS
-# factors plus those of one call: a reader (``rational_schur_char``, or a
-# miss of ``_super_schur_terms``) clears them, with the two memos that hold
-# their ids, when it starts with the tables full, so no running call holds
-# a cleared id.
-FACTORS = 4096
-_factor_ids: Dict[_OddFactor, int] = {}
-_factors: Dict[int, _OddFactor] = {}
-_next_factor = count()
+# Each distinct odd factor X_alpha on GL(n), ((delta padded to n, c), ...)
+# with c = c^lam_{alpha, delta^T}, has one plain int id in _factor_table,
+# so ``_odd_product`` hashes two ints, and every memo the closed form reads
+# holds only plain tuples and ints.  The readers of the ids are
+# ``rational_schur_char`` and a miss of ``_super_schur_terms``.
+_factor_table = _HashCons()
 
 
-def _reset_factors() -> None:
-    """Clear both factor tables and the two memos that hold factor ids."""
-    _factor_ids.clear()
-    _factors.clear()
-    _odd_factors.cache_clear()
-    _odd_product.cache_clear()
-
-
-def _start_reader() -> None:
-    """Called by each reader first: clear the factor tables if they are full."""
-    if len(_factors) >= FACTORS:
-        _reset_factors()
-
-
+@_factor_table.holds
 @lru_cache(maxsize=1024)
 def _odd_factors(lam: Tuple[int, ...], n: int) -> _OddFactors:
     """The odd factors X_alpha = sum_delta c^lam_{alpha, delta^T} s_delta of
     lam on GL(n) (Macdonald I.5), one per alpha inside lam, as pairs of
-    alpha and the id of X_alpha; ``_factors`` maps the id to the factor.
+    alpha and the id of X_alpha in _factor_table.
 
     ``_lr_pairs(lam)`` grouped by alpha, in its order, with each delta of at
     most n rows padded to a GL(n) weight; an alpha with no such delta is
@@ -102,17 +78,10 @@ def _odd_factors(lam: Tuple[int, ...], n: int) -> _OddFactors:
     for delta, alpha, c in _lr_pairs(lam):
         if delta.length <= n:
             groups.setdefault(alpha, []).append((pad_weight(delta, n), c))
-    out = []
-    for alpha, x in groups.items():
-        x = tuple(x)
-        found = _factor_ids.get(x)
-        if found is None:
-            found = _factor_ids[x] = next(_next_factor)
-            _factors[found] = x
-        out.append((tuple(alpha), found))
-    return tuple(out)
+    return tuple((tuple(alpha), _factor_table.id(tuple(x))) for alpha, x in groups.items())
 
 
+@_factor_table.holds
 @lru_cache(maxsize=16384)
 def _odd_product(x: int, y: int) -> _OddProduct:
     """The GL(n) product X * Y^* of two odd factors, given by their ids, as
@@ -123,8 +92,9 @@ def _odd_product(x: int, y: int) -> _OddProduct:
     16384 most recently used pairs of ids.
     """
     odd: Dict[GLWeight, int] = {}
-    x_terms = _factors[x]
-    for gamma_w, c2 in _factors[y]:
+    factors = _factor_table.values
+    x_terms = factors[x]
+    for gamma_w, c2 in factors[y]:
         gamma_w = dual_weight(gamma_w)
         for delta_w, c1 in x_terms:
             c12 = c1 * c2
@@ -156,13 +126,13 @@ def _super_schur_terms(lam: Partition, m: int, n: int) -> _SuperTerms:
     tuple directly, and no caller can change it.  A miss is a reader of
     the factor ids.
     """
-    _start_reader()
+    _factor_table.start()
     # each alpha, and each delta of one skew expansion, occurs once: no key repeats
     terms = []
     for alpha, x in _odd_factors(tuple(lam), n):
         if len(alpha) <= m:
             w0 = pad_weight(alpha, m)
-            terms.extend(((w0, delta_w), c) for delta_w, c in _factors[x])
+            terms.extend(((w0, delta_w), c) for delta_w, c in _factor_table.values[x])
     return tuple(terms)
 
 
@@ -225,7 +195,7 @@ def rational_schur_char(lam: Partition, mu: Partition, d: SuperDim) -> VirtualCh
     m, n = d.m, d.n
     if m < lam.length + mu.length - 1:
         raise PreconditionError("below complete-intersection bound")
-    _start_reader()
+    _factor_table.start()
     xs = _odd_factors(tuple(lam), n)
     terms: Dict[Tuple[GLWeight, GLWeight], int] = {}
     for beta, y in _odd_factors(tuple(mu), n):

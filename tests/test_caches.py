@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 import sys
+from functools import partial
 
 import pytest
 
@@ -13,7 +14,7 @@ from superbott import characters, cli, cohomology, superschur
 from superbott.characters import rational_tensor, skew_expand
 from superbott.cohomology import BundleSpec, HypothesisCase, e1_page, hypothesis_case
 from superbott.oracle import schur_monomials
-from superbott.partitions import Partition, SkewShape
+from superbott.partitions import Partition, SkewShape, _HashCons
 from superbott.qseries import flag_poincare
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 from test_acceptance import case1_grid
@@ -63,11 +64,12 @@ def test_every_functools_cache_is_bounded():
     # alike: a position is reached when its side holds a block that shares
     # no entry with the mask
     sides = cohomology._levi_row((2, 1, 0), 3, 2, cohomology._SIGMA_DUAL, 2).sides
+    values = cohomology._block_table.values
     row = cohomology._LeviRow(sides)
     masks = range(1, row.ANSWERS + 64)
     for mask in masks:
         assert row[mask] == sum(
-            1 << i for i, side in enumerate(sides) if any(not other & mask for other, _, _ in side.value)
+            1 << i for i, side in enumerate(sides) if any(not other & mask for other, _, _ in values[side])
         )
     assert len(row) == row.ANSWERS
     assert [row[mask] for mask in masks] == [row[mask] for mask in masks]
@@ -194,15 +196,18 @@ def _plain(value):
     return type(value) is tuple and all(map(_plain, value))
 
 
-def test_closed_form_memos_hold_nothing_the_collector_tracks(monkeypatch):
+def test_closed_form_and_first_page_memos_hold_nothing_the_collector_tracks(monkeypatch):
     # a tuple subclass such as Partition is never untracked by the cyclic
     # collector, while a tuple that holds only untracked values is untracked
-    # when it is collected: every value the closed form's memos return is
-    # untracked once collected, and every argument they are keyed by is
-    # plain
+    # when it is collected: every value the closed form's memos and the
+    # first page's id-keyed memos return, and every value of the two id
+    # tables, is untracked once collected, and every argument the memos
+    # are keyed by is plain.  _levi_row stays out: its value is a _LeviRow,
+    # a dict subclass with slots, which the collector always tracks, and it
+    # keeps at most 4,096 of them; _super_schur_terms and _closed_form_base
+    # keep Partition keys
     for cache in package_caches().values():
         cache.cache_clear()
-    superschur._reset_factors()
     seen = {}
 
     def recorded(name, memo):
@@ -213,23 +218,42 @@ def test_closed_form_memos_hold_nothing_the_collector_tracks(monkeypatch):
 
         return call
 
-    for name in ("_lr_count", "_odd_factors", "_odd_product", "_even_weight"):
-        monkeypatch.setattr(superschur, name, recorded(name, getattr(superschur, name)))
+    for module, names in (
+        (superschur, ("_lr_count", "_odd_factors", "_odd_product", "_even_weight")),
+        (cohomology, ("_block_side", "_block_bott", "_levi_bott_pairs")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
     shapes = [((2, 1), (1,), 3, 2), ((1,), (1,), 1, 1), ((3, 1), (2, 2), 4, 0)] + RATIONAL_SCHUR_PINS[:3]
     for alpha, beta, m, n in shapes:
         rational_schur_char(Partition(alpha), Partition(beta), SuperDim(m, n))
+    # the first rung of the benchmark ladder and two CASE2 bundles
+    for (p, q), (m, n), alpha, beta in [WARM_COLD_BUNDLES[i] for i in (0, 4, 6)]:
+        e1_page(BundleSpec(p, q, SuperDim(m, n), Partition.parse(alpha), Partition.parse(beta)))
     # a tuple is untracked only after its items are; tuple() of an iterator
     # makes the tuple before its items, so each level of nesting may take
     # one more collection
     for _ in range(3):
         gc.collect()
-    assert sorted(seen) == ["_even_weight", "_lr_count", "_odd_factors", "_odd_product"]
+    assert sorted(seen) == [
+        "_block_bott",
+        "_block_side",
+        "_even_weight",
+        "_levi_bott_pairs",
+        "_lr_count",
+        "_odd_factors",
+        "_odd_product",
+    ]
     # the pair (2, 1; 1) of rank 1 collides: its even weight is None
     assert None in (result for _, result in seen["_even_weight"])
     for name, calls in seen.items():
         for args, result in calls:
             assert _plain(args), (name, args)
             assert _plain(result) and not gc.is_tracked(result), (name, args)
+    for table in (superschur._factor_table, cohomology._block_table):
+        assert table.values
+        for value in table.values.values():
+            assert _plain(value) and not gc.is_tracked(value), value
 
 
 # Closed forms and restrictions, each a reader of the factor ids: no
@@ -248,56 +272,93 @@ FACTOR_READERS = [
 ]
 
 
-def test_factor_ids_are_bounded_and_cleared_only_when_a_reader_starts(monkeypatch):
-    def calls():
-        for kind, *args in FACTOR_READERS:
-            if kind == "rational":
-                lam, mu, m, n = args
-                char = rational_schur_char(Partition(lam), Partition(mu), SuperDim(m, n))
-                shapes = [(lam, n), (mu, n)]
-            else:
-                lam, m, n = args
-                char = super_schur_decompose(Partition(lam), SuperDim(m, n))
-                shapes = [(lam, n)]
-            yield json.dumps(char.to_json_obj()), shapes
+def factor_readers():
+    """One call per FACTOR_READERS entry; each returns its character."""
+    for kind, *args in FACTOR_READERS:
+        if kind == "rational":
+            lam, mu, m, n = args
+            yield partial(rational_schur_char, Partition(lam), Partition(mu), SuperDim(m, n))
+        else:
+            lam, m, n = args
+            yield partial(super_schur_decompose, Partition(lam), SuperDim(m, n))
+
+
+def page_readers():
+    """First pages, each a reader of the block ids: every fourth
+    criterion-4 bundle with four nonzero classical ranks, and its CASE2
+    mirror."""
+    specs = [s for s in case1_grid() if s.p and s.q and s.m - s.p and s.n - s.q][::4]
+    specs += [BundleSpec(s.q, s.p, s.d.shifted(), s.alpha.transpose(), s.beta.transpose()) for s in specs]
+    assert len(specs) == 50
+    return [partial(e1_page, spec) for spec in specs]
+
+
+# each id table: its module, the memos that hold its ids (in the order they
+# are registered), its readers, and the functions that start a reader
+ID_TABLES = {
+    "factors": (
+        superschur,
+        "_factor_table",
+        ("_odd_factors", "_odd_product"),
+        factor_readers,
+        {"rational_schur_char", "_super_schur_terms"},
+    ),
+    "blocks": (
+        cohomology,
+        "_block_table",
+        ("_block_side", "_block_bott", "_levi_bott_pairs", "_levi_row"),
+        page_readers,
+        {"_e1_terms"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ID_TABLES))
+def test_id_tables_are_bounded_and_cleared_only_when_a_reader_starts(monkeypatch, kind):
+    module, table_name, memo_names, readers, starts = ID_TABLES[kind]
+    table = getattr(module, table_name)
+    memos = [getattr(module, name) for name in memo_names]
+    calls = list(readers())
+
+    def outputs():
+        for call in calls:
+            yield json.dumps(call().to_json_obj(), sort_keys=True)
 
     for cache in package_caches().values():
         cache.cache_clear()
-    superschur._reset_factors()
-    cold = [out for out, _ in calls()]
-    # a reset empties both tables and the two memos keyed by their ids
-    assert superschur._factors
-    old = max(superschur._factors)
-    superschur._reset_factors()
-    assert not superschur._factors and not superschur._factor_ids
-    for memo in (superschur._odd_factors, superschur._odd_product):
-        assert memo.cache_info().currsize == 0
+    cold = list(outputs())
+    # a reset empties the table and every memo registered with it
+    assert table.memos == memos
+    assert table.values and all(memo.cache_info().currsize for memo in memos)
+    old = max(table.values)
+    monkeypatch.setattr(_HashCons, "BOUND", 1)
+    table.start()
+    assert not table.values and not table.ids
+    for name, memo in zip(memo_names, memos):
+        assert memo.cache_info().currsize == 0, name
     # with the bound cut to 1 id, every reader that finds an id clears the
-    # tables as it starts, and no call clears them later: every call prints
-    # the same bytes as the cold run, its ids are new, and the tables hold
-    # no more than the bound plus the factors of the call
+    # table as it starts, and nothing clears it later: every call prints
+    # the same bytes as the cold run, and after each call the table holds
+    # only ids that the call made, all of them new, since ids only grow
     for cache in package_caches().values():
         cache.cache_clear()
-    resets = []
-    reset = superschur._reset_factors
+    clears = []
+    start = _HashCons.start
 
-    def recorded_reset():
-        resets.append(sys._getframe(2).f_code.co_name)
-        reset()
+    def recorded_start(self):
+        if self is table and len(self.values) >= self.BOUND:
+            clears.append(sys._getframe(1).f_code.co_name)
+        start(self)
 
-    monkeypatch.setattr(superschur, "FACTORS", 1)
-    monkeypatch.setattr(superschur, "_reset_factors", recorded_reset)
+    monkeypatch.setattr(_HashCons, "start", recorded_start)
     bounded = []
-    for out, shapes in calls():
+    for out in outputs():
         bounded.append(out)
-        size = len(superschur._factors)
-        ids = {x for lam, n in shapes for _, x in superschur._odd_factors(lam, n)}
-        assert size <= 1 + len(ids)
-        assert set(superschur._factors) <= ids
-        assert min(superschur._factors, default=old + 1) > old
+        assert table.values and min(table.values) > old
+        old = max(table.values)
     assert bounded == cold
-    assert len(resets) >= len(FACTOR_READERS) - 1
-    assert set(resets) == {"rational_schur_char", "_super_schur_terms"}
+    assert len(clears) >= len(calls) - 1
+    assert set(clears) == starts
 
 
 def test_equal_bott_weights_are_one_object():
@@ -311,7 +372,7 @@ def test_equal_bott_weights_are_one_object():
     side = cohomology._block_side
     upper, lower = side((0,), (0,), 1), side((0,), (0,), 0)
     assert side((1,), (-1,), 1) is upper
-    assert type(upper) is cohomology._Id and upper != lower
+    assert type(upper) is int and upper != lower
     ((d1, w1, _),) = pairs(upper, lower)
     ((d2, w2, _),) = pairs(side((-1,), (0,), 1), side((1,), (0,), 0))
     assert (d1, d2) == (0, 1)
@@ -319,35 +380,3 @@ def test_equal_bott_weights_are_one_object():
     assert w1 is w2
 
 
-def test_id_tables_reset_with_every_memo_keyed_by_ids(monkeypatch):
-    # a reset empties both id tables and every memo keyed by their ids, and
-    # ids made after it are new
-    # every fourth criterion-4 bundle with four nonzero classical ranks, and
-    # its CASE2 mirror
-    specs = [s for s in case1_grid() if s.p and s.q and s.m - s.p and s.n - s.q][::4]
-    specs += [BundleSpec(s.q, s.p, s.d.shifted(), s.alpha.transpose(), s.beta.transpose()) for s in specs]
-    assert len(specs) == 50
-
-    def pages():
-        return [json.dumps(e1_page(spec).to_json_obj(), sort_keys=True) for spec in specs]
-
-    for spec in specs[:5]:
-        e1_page(spec)
-    old = max(cohomology._sides.values())
-    cohomology._reset_ids()
-    assert not cohomology._sides and not cohomology._blocks
-    for name in ("_block_side", "_levi_row", "_levi_bott_pairs", "_block_bott"):
-        assert getattr(cohomology, name).cache_info().currsize == 0, name
-    cold = pages()
-    assert min(cohomology._sides.values()) > old
-    # with the tables' bound cut to 8 ids, they are cleared many times
-    # within each page, while rows and sides made before a reset are still
-    # read; every page prints the same bytes as the cold run
-    resets = []
-    reset = cohomology._reset_ids
-    reset()
-    monkeypatch.setattr(cohomology, "IDS", 8)
-    monkeypatch.setattr(cohomology, "_reset_ids", lambda: resets.append(reset()))
-    assert pages() == cold
-    assert len(resets) > len(specs)
-    assert len(cohomology._sides) <= 8 and len(cohomology._blocks) <= 8

@@ -191,7 +191,7 @@ def test_odd_factor_table_is_the_per_triple_definition():
                     if delta.length <= n:
                         grouped.setdefault(alpha, []).append((pad_weight(delta, n), c))
                 want = tuple((alpha, tuple(x)) for alpha, x in grouped.items())
-                got = tuple((alpha, superschur._factors[x]) for alpha, x in _odd_factors(lam, n))
+                got = tuple((alpha, superschur._factor_table.values[x]) for alpha, x in _odd_factors(lam, n))
                 assert got == want, (lam, n)
                 for m in range(5):
                     assert _super_schur_terms(lam, m, n) == per_triple_terms(lam, m, n), (lam, m, n)
