@@ -19,7 +19,6 @@ from typing import Sequence
 
 from .characters import GradedCharacter, VirtualCharacter, lr_coefficient, weyl_dim
 from .cohomology import (
-    BundleSpec,
     FlagSpec,
     VerifyReport,
     e1_page,
@@ -126,9 +125,8 @@ def _show(args) -> int:
     return 0
 
 
-def _bundle(args) -> BundleSpec:
-    p, q = args.grass
-    return BundleSpec(p=p, q=q, d=SuperDim(*args.dim), alpha=args.alpha, beta=args.beta)
+def _bundle(args) -> FlagSpec:
+    return FlagSpec((args.grass,), SuperDim(*args.dim), args.alpha, args.beta)
 
 
 def _cohom(args) -> int:

@@ -1,13 +1,14 @@
 """The two cohomology pipelines for super Grassmannians and partial flags.
 
-The first-page computation expands the associated graded bundle over the
-product of classical Grassmannians and pushes every Levi-irreducible term
-through the Bott algorithm; the closed form places one rational Schur
-character on the Poincare polynomial of a classical flag variety.  A
-Grassmannian is the one-step flag: ``BundleSpec`` gives its steps as
-``((p, q),)``, and one closed form serves both specs.  Under the main
-hypothesis the closed form is the cohomology, which the first page
-converges to; the first page need not degenerate, so it may carry more.
+One spec type, ``FlagSpec``, names a bundle on either: a Grassmannian is
+the one-step flag, and ``BundleSpec(p, q, d)`` builds it with steps
+``((p, q),)``.  The first-page computation, on Grassmannians only, expands
+the associated graded bundle over the product of classical Grassmannians
+and pushes every Levi-irreducible term through the Bott algorithm; the
+closed form places one rational Schur character on the Poincare
+polynomial of a classical flag variety.  Under the main hypothesis the
+closed form is the cohomology, which the first page converges to; the
+first page need not degenerate, so it may carry more.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 from enum import Enum
 from functools import lru_cache
 from math import comb
+from operator import index
 from typing import Dict, List, Tuple
 
 from .bott import entry_mask, levi_bott, rho_shift
@@ -27,7 +29,7 @@ from .characters import (
     pad_weight,
     rational_tensor,
 )
-from .errors import HypothesisError, TermLimitError
+from .errors import HypothesisError, PreconditionError, TermLimitError
 from .partitions import Partition, _HashCons, _Value, partitions_in_box
 from .qseries import HilbertSeries, flag_poincare
 from .superschur import SuperDim, _super_schur_terms, rational_schur_char
@@ -56,43 +58,14 @@ class HypothesisCase(Enum):
     NONE = "none"
 
 
-class BundleSpec(_Value):
-    """A Schur-functor bundle on the super Grassmannian of rank p|q planes."""
-
-    hypothesis_message = "main theorem hypothesis not satisfied"
-
-    __slots__ = ("p", "q", "d", "alpha", "beta")
-
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        d: SuperDim,
-        alpha: Partition = Partition(),
-        beta: Partition = Partition(),
-    ) -> None:
-        self._init(p, q, d, Partition(alpha), Partition(beta))
-        if not (0 <= p <= d.m and 0 <= q <= d.n):
-            raise ValueError("sub-bundle ranks out of range")
-
-    @property
-    def steps(self) -> Tuple[Tuple[int, int], ...]:
-        """The Grassmannian as the one-step flag."""
-        return ((self.p, self.q),)
-
-    @property
-    def m(self) -> int:
-        return self.d.m
-
-    @property
-    def n(self) -> int:
-        return self.d.n
-
-
 class FlagSpec(_Value):
-    """A Schur-functor bundle on a super partial flag variety."""
+    """A Schur-functor bundle on a super partial flag variety.
 
-    hypothesis_message = "partial flag chain condition not satisfied"
+    The steps p_1|q_1, ..., p_k|q_k are the ranks of the flag's sub-bundles
+    of C^{m|n}.  One step is a Grassmannian, and any p|q in the box is
+    valid; a longer flag strictly increases in the product order, strictly
+    between 0|0 and m|n.
+    """
 
     __slots__ = ("steps", "d", "alpha", "beta")
 
@@ -103,12 +76,16 @@ class FlagSpec(_Value):
         alpha: Partition = Partition(),
         beta: Partition = Partition(),
     ) -> None:
-        self._init(tuple((int(p), int(q)) for p, q in steps), d, Partition(alpha), Partition(beta))
+        self._init(tuple((index(p), index(q)) for p, q in steps), d, Partition(alpha), Partition(beta))
         if not self.steps:
             raise ValueError("flag needs at least one step")
-        chain = list(self.steps) + [(self.d.m, self.d.n)]
+        if len(self.steps) == 1:
+            ((p, q),) = self.steps
+            if not (0 <= p <= d.m and 0 <= q <= d.n):
+                raise ValueError("sub-bundle ranks out of range")
+            return
         prev = (0, 0)
-        for p, q in chain:
+        for p, q in (*self.steps, (d.m, d.n)):
             if p < prev[0] or q < prev[1] or (p, q) == prev:
                 raise ValueError("steps must strictly increase in the product order")
             prev = (p, q)
@@ -122,11 +99,25 @@ class FlagSpec(_Value):
         return self.d.n
 
 
+def BundleSpec(
+    p: int, q: int, d: SuperDim, alpha: Partition = Partition(), beta: Partition = Partition()
+) -> FlagSpec:
+    """A Schur-functor bundle on the super Grassmannian of rank p|q planes."""
+    return FlagSpec(((p, q),), d, alpha, beta)
+
+
+def _grassmannian(spec: FlagSpec) -> Tuple[int, int]:
+    """The ranks p, q of a one-step flag, the only flag the first page takes."""
+    if len(spec.steps) != 1:
+        raise PreconditionError(f"the first page needs a Grassmannian, got {len(spec.steps)} steps")
+    return spec.steps[0]
+
+
 def _weakly_decreasing(chain: List[int]) -> bool:
     return chain == sorted(chain, reverse=True)
 
 
-def hypothesis_case(spec: BundleSpec | FlagSpec) -> HypothesisCase:
+def hypothesis_case(spec: FlagSpec) -> HypothesisCase:
     """Which branch of the main-theorem hypothesis the bundle satisfies.
 
     On the steps p_i|q_i of the flag, CASE1 asks m - n - l(alpha) >= p_k -
@@ -147,7 +138,7 @@ def _flag_blocks(ranks: Tuple[int, ...], total: int) -> Tuple[int, ...]:
     return tuple(b - a for a, b in zip((0, *ranks), (*ranks, total)))
 
 
-def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
+def structure_sheaf_hilbert(spec: FlagSpec) -> HilbertSeries:
     """Hilbert series of the structure-sheaf cohomology ring.
 
     It is the Poincare polynomial of the classical flag variety of the odd
@@ -156,13 +147,15 @@ def structure_sheaf_hilbert(spec: BundleSpec | FlagSpec) -> HilbertSeries:
     return _structure_sheaf_hilbert(spec, hypothesis_case(spec))
 
 
-def _structure_sheaf_hilbert(spec: BundleSpec | FlagSpec, case: HypothesisCase) -> HilbertSeries:
+def _structure_sheaf_hilbert(spec: FlagSpec, case: HypothesisCase) -> HilbertSeries:
     """``structure_sheaf_hilbert`` given the bundle's ``hypothesis_case``."""
     if case is HypothesisCase.CASE1:
         return flag_poincare(_flag_blocks(tuple(q for _, q in spec.steps), spec.n))
     if case is HypothesisCase.CASE2:
         return flag_poincare(_flag_blocks(tuple(p for p, _ in spec.steps), spec.m))
-    raise HypothesisError(spec.hypothesis_message)
+    if len(spec.steps) == 1:
+        raise HypothesisError("main theorem hypothesis not satisfied")
+    raise HypothesisError("partial flag chain condition not satisfied")
 
 
 # Each distinct rho-shifted block (weight, entry_mask) and each distinct
@@ -318,7 +311,7 @@ def _levi_row(a: GLWeight, rows: int, cols: int, column: int, offset: int) -> _L
 
 
 def _e1_terms(
-    spec: BundleSpec, by_exterior: bool
+    spec: FlagSpec, by_exterior: bool
 ) -> Dict[int, Dict[int, Dict[Tuple[GLWeight, GLWeight], int]]]:
     """The first page as {exterior degree: {degree: {(w0, w1): mult}}}.
 
@@ -344,7 +337,8 @@ def _e1_terms(
     Every multiplicity is a product of positive super-Schur, LR and Bott
     multiplicities, so no term cancels and no block of the result is zero.
     """
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    m, n = spec.m, spec.n
+    p, q = _grassmannian(spec)
     mq, nq = m - p, n - q  # classical quotient ranks
 
     page: Dict[int, Dict[int, Dict[Tuple[GLWeight, GLWeight], int]]] = {}
@@ -416,8 +410,13 @@ def _e1_terms(
     return page
 
 
-def e1_page(spec: BundleSpec) -> GradedCharacter:
-    """First page of the ideal-filtration spectral sequence, by total degree."""
+def e1_page(spec: FlagSpec) -> GradedCharacter:
+    """First page of the ideal-filtration spectral sequence, by total degree.
+
+    The spec must be one-step (a Grassmannian); a longer flag raises
+    ``PreconditionError``, and so do ``e1_bigraded`` and
+    ``verify_main_theorem``.
+    """
     gc = GradedCharacter(spec.m, spec.n)
     for grades in _e1_terms(spec, by_exterior=False).values():
         for deg, terms in grades.items():
@@ -425,7 +424,7 @@ def e1_page(spec: BundleSpec) -> GradedCharacter:
     return gc
 
 
-def e1_bigraded(spec: BundleSpec) -> Dict[Tuple[int, int], VirtualCharacter]:
+def e1_bigraded(spec: FlagSpec) -> Dict[Tuple[int, int], VirtualCharacter]:
     """Diagnostic view keyed by (cohomological degree, exterior degree)."""
     return {
         (deg, ext): VirtualCharacter._trusted(spec.m, spec.n, terms)
@@ -458,7 +457,7 @@ def _closed_form_base(alpha: Partition, beta: Partition, m: int, n: int, shifted
     return tuple(keys), tuple(terms.values())
 
 
-def main_theorem_char(spec: BundleSpec | FlagSpec) -> GradedCharacter:
+def main_theorem_char(spec: FlagSpec) -> GradedCharacter:
     """Closed-form cohomology: the structure-sheaf series times one character.
 
     The character is read from ``_closed_form_base``, and each degree of the
@@ -483,7 +482,7 @@ class VerifyReport(_Value):
 
     def __init__(
         self,
-        spec: BundleSpec,
+        spec: FlagSpec,
         matches: bool,
         diffs: Dict[int, VirtualCharacter] | None = None,
         possibly_nondegenerate: bool = False,
@@ -492,7 +491,7 @@ class VerifyReport(_Value):
 
 
 def verify_main_theorem(
-    spec: BundleSpec, closed_form: GradedCharacter | None = None
+    spec: FlagSpec, closed_form: GradedCharacter | None = None
 ) -> VerifyReport:
     """Compare the first page with the closed form, degree by degree.
 
@@ -501,6 +500,7 @@ def verify_main_theorem(
     page already equals the closed form; a mismatch may be a surplus that
     later differentials cancel.
     """
+    _grassmannian(spec)
     expected = main_theorem_char(spec) if closed_form is None else closed_form
     actual = e1_page(spec)
     diffs = actual.diff(expected)

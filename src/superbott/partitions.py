@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from itertools import count
+from operator import index
 from typing import Iterable, Iterator
 
 
@@ -19,7 +20,7 @@ class Partition(tuple):
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
         if type(parts) is cls:
             return parts
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(map(index, parts))
         end = len(parts)
         while end and parts[end - 1] == 0:
             end -= 1

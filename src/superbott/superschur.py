@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import neg
+from operator import index, neg
 from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 from .characters import (
@@ -27,7 +27,7 @@ class SuperDim(_Value):
     __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int) -> None:
-        self._init(m, n)
+        self._init(index(m), index(n))
         if m < 0 or n < 0:
             raise ValueError("dimensions must be nonnegative")
 

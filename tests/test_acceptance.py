@@ -231,7 +231,7 @@ def test_criterion_4_main_theorem_grid():
     if failures:
         worst = failures[0]
         detail += (
-            f"; {len(failures)}/{total} fail, first p={worst.p} q={worst.q}"
+            f"; {len(failures)}/{total} fail, first steps={worst.steps}"
             f" dim {worst.m}|{worst.n}"
             f" alpha={tuple(worst.alpha)} beta={tuple(worst.beta)}"
         )
@@ -337,7 +337,7 @@ def test_criterion_9_even_degree_concentration():
     if failures:
         worst = failures[0]
         detail += (
-            f"; first failure p={worst.p} q={worst.q} dim {worst.m}|{worst.n}"
+            f"; first failure steps={worst.steps} dim {worst.m}|{worst.n}"
             f" alpha={tuple(worst.alpha)} beta={tuple(worst.beta)}"
         )
     # The check rejects an unpairable page: outside the hypothesis, the

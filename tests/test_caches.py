@@ -287,8 +287,10 @@ def page_readers():
     """First pages, each a reader of the block ids: every fourth
     criterion-4 bundle with four nonzero classical ranks, and its CASE2
     mirror."""
-    specs = [s for s in case1_grid() if s.p and s.q and s.m - s.p and s.n - s.q][::4]
-    specs += [BundleSpec(s.q, s.p, s.d.shifted(), s.alpha.transpose(), s.beta.transpose()) for s in specs]
+    grid = [(s, *s.steps[0]) for s in case1_grid()]
+    chosen = [(s, p, q) for s, p, q in grid if p and q and s.m - p and s.n - q][::4]
+    specs = [s for s, _, _ in chosen]
+    specs += [BundleSpec(q, p, s.d.shifted(), s.alpha.transpose(), s.beta.transpose()) for s, p, q in chosen]
     assert len(specs) == 50
     return [partial(e1_page, spec) for spec in specs]
 

@@ -155,6 +155,17 @@ def test_hilbert_grass_bad_range_exit_1(capsys):
     assert code == 1
 
 
+def test_hilbert_flag_one_step_is_the_grassmannian(capsys):
+    # one step takes the Grassmannian's rules: any p|q in the box, the
+    # main theorem's message, and the range check's exit 1
+    code, out, err = capture(capsys, ["hilbert-flag", "--steps", "1,2", "--dim", "3,3"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "main theorem hypothesis not satisfied", "type": "HypothesisError"}
+    assert capture(capsys, ["hilbert-flag", "--steps", "3,3", "--dim", "3,3"]) == (0, "1\n", "")
+    code, out, err = capture(capsys, ["hilbert-flag", "--steps", "4,1", "--dim", "3,3"])
+    assert (code, out, err) == (1, "", "error: sub-bundle ranks out of range\n")
+
+
 def test_hilbert_flag_chain_failure_exit_2(capsys):
     code, _, err = capture(
         capsys, ["hilbert-flag", "--steps", "1,1", "2,3", "--dim", "3,3"]

@@ -33,15 +33,21 @@ from superbott.characters import (
     pad_weight,
     rational_tensor,
 )
-from superbott.errors import HypothesisError, TermLimitError
+from superbott.errors import HypothesisError, PreconditionError, TermLimitError
 from superbott.partitions import Partition, SkewShape, partitions_in_box, partitions_of
-from superbott.qseries import HilbertSeries, q_factorial
+from superbott.qseries import HilbertSeries, flag_poincare, q_factorial
 from superbott.superschur import SuperDim, rational_schur_char, super_schur_decompose
 from test_acceptance import case1_grid
 
 
 def bundle(p, q, m, n, alpha=(), beta=()):
     return BundleSpec(p=p, q=q, d=SuperDim(m, n), alpha=alpha, beta=beta)
+
+
+def mirror(spec):
+    # the parity shift: even and odd ranks swapped, both shapes transposed
+    steps = [(q, p) for p, q in spec.steps]
+    return FlagSpec(steps, spec.d.shifted(), spec.alpha.transpose(), spec.beta.transpose())
 
 
 def test_bundle_spec_validation():
@@ -56,8 +62,10 @@ def test_flag_spec_validation():
         FlagSpec(steps=(), d=SuperDim(2, 1))
     with pytest.raises(ValueError, match="strictly increase"):
         FlagSpec(steps=((2, 1), (1, 2)), d=SuperDim(3, 3))
-    with pytest.raises(ValueError, match="strictly increase"):
-        FlagSpec(steps=((3, 3),), d=SuperDim(3, 3))
+    # a longer flag ends below m|n and starts above 0|0; one step may be either
+    for steps in (((1, 1), (3, 3)), ((0, 0), (1, 1))):
+        with pytest.raises(ValueError, match="strictly increase"):
+            FlagSpec(steps=steps, d=SuperDim(3, 3))
 
 
 def test_value_classes_compare_by_type_and_freeze():
@@ -74,20 +82,19 @@ def test_value_classes_compare_by_type_and_freeze():
     ):
         assert a == b and hash(a) == hash(b) and not a != b
     assert spec != BundleSpec(1, 1, d, (2, 1)) and d != d.shifted()
-    # equality is by exact type: not a tuple of the same fields, nor a flag
-    assert spec != (1, 1, d, Partition((2, 1)), Partition((1,))) and d != (4, 2)
-    assert spec != flag and flag.steps == spec.steps
+    # a Grassmannian is the one-step flag: BundleSpec builds a FlagSpec
+    assert type(spec) is FlagSpec and spec == flag and hash(spec) == hash(flag)
+    # equality is by exact type: not a tuple of the same fields
+    assert spec != (((1, 1),), d, Partition((2, 1)), Partition((1,))) and d != (4, 2)
     assert repr(spec) == (
-        "BundleSpec(p=1, q=1, d=SuperDim(m=4, n=2), alpha=Partition((2, 1)), beta=Partition((1,)))"
+        "FlagSpec(steps=((1, 1),), d=SuperDim(m=4, n=2), alpha=Partition((2, 1)), beta=Partition((1,)))"
     )
-    assert spec.hypothesis_message == "main theorem hypothesis not satisfied"
-    assert FlagSpec.hypothesis_message == "partial flag chain condition not satisfied"
-    for obj, field in ((spec, "p"), (flag, "steps"), (skew, "inner"), (d, "m")):
+    for obj, field in ((spec, "steps"), (flag, "alpha"), (skew, "inner"), (d, "m")):
         with pytest.raises(AttributeError):
             setattr(obj, field, 0)
         with pytest.raises(AttributeError):
             delattr(obj, field)
-    assert (spec.p, flag.steps, skew.inner, d.m) == (1, ((1, 1),), (1,), 4)
+    assert (spec.steps, flag.alpha, skew.inner, d.m) == (((1, 1),), (2, 1), (1,), 4)
     # the report stays mutable, compares field by field and is unhashable
     report = VerifyReport(spec, True)
     assert report == VerifyReport(spec=spec, matches=True, diffs={}, possibly_nondegenerate=False)
@@ -208,7 +215,8 @@ def reference_e1_page(spec):
     # The first page as the plain composition of the tested helpers: for
     # every alpha-term, beta-term, lam and nu, Kunneth of the Bott
     # cohomology of the even and the odd Levi block.
-    m, n, p, q = spec.m, spec.n, spec.p, spec.q
+    m, n = spec.m, spec.n
+    ((p, q),) = spec.steps
     mq, nq = m - p, n - q
     out = GradedCharacter(m, n)
     alpha_terms = super_schur_decompose(spec.alpha, SuperDim(mq, nq))
@@ -314,8 +322,7 @@ def test_id_keyed_bott_tables_match_bott_on_the_concatenated_weight(monkeypatch)
     # pairs are checked before the next page may clear the table
     checked = set()
     for spec in case1_grid():
-        mirror = BundleSpec(spec.q, spec.p, spec.d.shifted(), spec.alpha.transpose(), spec.beta.transpose())
-        for bundle_spec in (spec, mirror):
+        for bundle_spec in (spec, mirror(spec)):
             rows.clear()
             e1_page(bundle_spec)
             by_column = {}
@@ -369,34 +376,94 @@ def test_e1_bigraded_totals_match():
     assert h.hexdigest() == "fa50099f8bd6e6c830ebfe941bc83b140f0bf0e98d498c2481ed1ff2dd3bdefa"
 
 
+def symmetry_grid():
+    # NONE, CASE1 and CASE2 bundles with m, n <= 3 and |alpha|, |beta| <= 3
+    shapes = small_shapes(3)
+    for m, n in product(range(4), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), shapes, shapes):
+            yield bundle(p, q, m, n, a, b)
+
+
+def symmetry_failures(specs, image, image_terms):
+    """The bundles that a symmetry fails on, and how many satisfy the hypothesis.
+
+    ``image`` maps a bundle to its image and ``image_terms`` maps the terms
+    of a character.  The symmetry holds on a bundle when the first page of
+    the image (Grassmannians only) is the image of its first page at every
+    (degree, exterior degree), the hypothesis holds for both or for
+    neither, and under it the image's closed form is the image of the
+    bundle's, degree by degree.
+    """
+    failures, hypothesis_count = [], 0
+    for spec in specs:
+        other = image(spec)
+        ok = True
+        if len(spec.steps) == 1:
+            page = {grade: vc.terms for grade, vc in e1_bigraded(other).items()}
+            ok = page == {grade: image_terms(vc.terms) for grade, vc in e1_bigraded(spec).items()}
+        case = hypothesis_case(spec)
+        ok = ok and (hypothesis_case(other) is HypothesisCase.NONE) == (case is HypothesisCase.NONE)
+        if ok and case is not HypothesisCase.NONE:
+            hypothesis_count += 1
+            got = main_theorem_char(other).by_degree
+            want = main_theorem_char(spec).by_degree
+            ok = {deg: vc.terms for deg, vc in got.items()} == {
+                deg: image_terms(vc.terms) for deg, vc in want.items()
+            }
+        if not ok:
+            failures.append(spec)
+    return failures, hypothesis_count
+
+
 def test_first_page_is_parity_symmetric():
     # The parity shift identifies Gr(p|q, m|n) with Gr(q|p, n|m), and
     # S_alpha(Pi Q) = Pi^|alpha| S_(alpha^T)(Q), so mirroring a bundle (swap
     # the even and odd ranks, transpose both shapes) swaps the two blocks of
-    # every weight of its first page and keeps the grades.  Covers NONE,
-    # CASE1 and CASE2 bundles with m, n <= 3 and |alpha|, |beta| <= 3.
+    # every weight of its first page and keeps the grades.  On the pinned
+    # two-step flags, the closed forms are mirrored too.
     def swapped(terms):
         return {(w1, w0): c for (w0, w1), c in terms.items()}
 
-    shapes = small_shapes(3)
-    count = hypothesis_count = 0
-    for m, n in product(range(4), repeat=2):
-        for p, q, a, b in product(range(m + 1), range(n + 1), shapes, shapes):
-            spec = bundle(p, q, m, n, a, b)
-            mirror = bundle(q, p, n, m, a.transpose(), b.transpose())
-            page = {grade: vc.terms for grade, vc in e1_bigraded(mirror).items()}
-            assert page == {grade: swapped(vc.terms) for grade, vc in e1_bigraded(spec).items()}, spec
-            case = hypothesis_case(spec)
-            assert (hypothesis_case(mirror) is HypothesisCase.NONE) == (case is HypothesisCase.NONE), spec
-            if case is not HypothesisCase.NONE:
-                got = main_theorem_char(mirror).by_degree
-                want = main_theorem_char(spec).by_degree
-                assert {deg: vc.terms for deg, vc in got.items()} == {
-                    deg: swapped(vc.terms) for deg, vc in want.items()
-                }, spec
-                hypothesis_count += 1
-            count += 1
-    assert (count, hypothesis_count) == (4900, 398)
+    grid = list(symmetry_grid())
+    assert len(grid) == 4900
+    assert symmetry_failures(grid, mirror, swapped) == ([], 398)
+    assert symmetry_failures(two_step_flags(), mirror, swapped) == ([], 764)
+
+
+def dual(spec):
+    # V -> V* sends the sub-bundles of ranks p_i|q_i to their annihilators,
+    # of ranks (m - p_i)|(n - q_i) in reverse order, and R to Q*, so alpha
+    # and beta swap
+    steps = [(spec.m - p, spec.n - q) for p, q in reversed(spec.steps)]
+    return FlagSpec(steps, spec.d, spec.beta, spec.alpha)
+
+
+def dual_terms(terms):
+    # the dual character: every weight w -> -w reversed, in both blocks
+    return {(dual_weight(w0), dual_weight(w1)): c for (w0, w1), c in terms.items()}
+
+
+def test_first_page_is_dual_symmetric():
+    # V -> V* identifies Gr(p|q, m|n) with Gr(m-p|n-q, m|n), so H^i of
+    # S_alpha Q (x) S_beta R* is the dual of H^i of S_beta Q (x) S_alpha R*
+    # on the second, at every exterior degree of the first page; the
+    # hypothesis is self-dual.  With the parity mirror this makes a Klein
+    # four-group of checks that need no oracle.  On the pinned two-step
+    # flags, the closed forms are dual too.
+    grid = list(symmetry_grid())
+    assert symmetry_failures(grid, dual, dual_terms) == ([], 398)
+    assert symmetry_failures(two_step_flags(), dual, dual_terms) == ([], 764)
+
+    # negative controls: a dual that keeps alpha and beta in place, and one
+    # that dualizes the even block only
+    def unswapped(spec):
+        return FlagSpec(dual(spec).steps, spec.d, spec.alpha, spec.beta)
+
+    def even_only(terms):
+        return {(dual_weight(w0), w1): c for (w0, w1), c in terms.items()}
+
+    assert len(symmetry_failures(grid, unswapped, dual_terms)[0]) == 2886
+    assert len(symmetry_failures(grid, dual, even_only)[0]) == 2360
 
 
 def test_e1_term_budget(monkeypatch):
@@ -473,8 +540,7 @@ def test_verify_agrees_with_the_reference_cross_check():
     counts = {HypothesisCase.CASE1: 0, HypothesisCase.CASE2: 0}
     mismatches = 0
     for spec in case1_grid():
-        mirror = BundleSpec(spec.q, spec.p, spec.d.shifted(), spec.alpha.transpose(), spec.beta.transpose())
-        for bundle_spec in (spec, mirror):
+        for bundle_spec in (spec, mirror(spec)):
             counts[hypothesis_case(bundle_spec)] += 1
             rep = verify_main_theorem(bundle_spec)
             page = e1_page(bundle_spec)
@@ -628,38 +694,54 @@ def test_partial_flag_char_examples():
 
 
 def test_partial_flag_char_one_step_reduces():
-    f = FlagSpec(steps=((2, 1),), d=SuperDim(6, 3), alpha=(1,), beta=(1,))
-    assert main_theorem_char(f) == main_theorem_char(
-        bundle(2, 1, 6, 3, alpha=(1,), beta=(1,))
-    )
-    # every one-step flag is the Grassmannian, except for its error message
+    # every p|q in the box, 0|0 and m|n included, is a one-step flag, and
+    # BundleSpec builds it: its series is the Gaussian binomial of the odd
+    # ranks in CASE1 and of the even ranks in CASE2, and outside the
+    # hypothesis it raises the main theorem's message
     seen = set()
     for m, n in product(range(5), repeat=2):
         for p, q, a, b in product(range(m + 1), range(n + 1), small_shapes(2), small_shapes(2)):
-            try:
-                f = FlagSpec(((p, q),), SuperDim(m, n), a, b)
-            except ValueError:
-                continue
-            spec = bundle(p, q, m, n, a, b)
+            f = FlagSpec(((p, q),), SuperDim(m, n), a, b)
+            assert f == bundle(p, q, m, n, a, b) and hash(f) == hash(bundle(p, q, m, n, a, b))
             case = hypothesis_case(f)
-            assert case is hypothesis_case(spec), spec
             seen.add(case)
             if case is HypothesisCase.NONE:
                 for closed_form in (structure_sheaf_hilbert, main_theorem_char):
-                    with pytest.raises(HypothesisError, match="^partial flag chain condition"):
+                    with pytest.raises(HypothesisError, match="^main theorem hypothesis not satisfied$"):
                         closed_form(f)
-                    with pytest.raises(HypothesisError, match="^main theorem hypothesis"):
-                        closed_form(spec)
             else:
-                assert structure_sheaf_hilbert(f) == structure_sheaf_hilbert(spec), spec
-                assert main_theorem_char(f) == main_theorem_char(spec), spec
+                rank, total = (q, n) if case is HypothesisCase.CASE1 else (p, m)
+                assert structure_sheaf_hilbert(f) == flag_poincare((rank, total - rank)), f
     assert seen == set(HypothesisCase)
 
 
 def test_partial_flag_char_chain_error():
-    f = FlagSpec(steps=((1, 1),), d=SuperDim(3, 2), alpha=(2, 2), beta=())
-    with pytest.raises(HypothesisError, match="chain condition"):
+    f = FlagSpec(steps=((1, 1), (2, 1)), d=SuperDim(3, 2), alpha=(2, 2), beta=())
+    with pytest.raises(HypothesisError, match="^partial flag chain condition not satisfied$"):
         main_theorem_char(f)
+
+
+def test_first_page_takes_one_step():
+    # the first page is computed on Grassmannians only; a longer flag is a
+    # precondition failure before any work, also under the hypothesis
+    f = FlagSpec(steps=((1, 0), (2, 1)), d=SuperDim(4, 2), alpha=(1,))
+    assert hypothesis_case(f) is HypothesisCase.CASE1
+    for first_page in (e1_page, e1_bigraded, verify_main_theorem):
+        with pytest.raises(PreconditionError, match="^the first page needs a Grassmannian, got 2 steps$") as exc:
+            first_page(f)
+        assert type(exc.value) is PreconditionError
+
+
+def test_ranks_and_parts_must_be_integers():
+    # a float part or rank was truncated, or failed far from its cause
+    for build in (
+        lambda: Partition((2.7, 1)),
+        lambda: FlagSpec(((1.5, 1),), SuperDim(3, 2)),
+        lambda: SuperDim(2.5, 1),
+        lambda: BundleSpec(1.5, 1, SuperDim(3, 2)),
+    ):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            build()
 
 
 def closed_form_digest(items):
@@ -671,16 +753,9 @@ def closed_form_digest(items):
     return h.hexdigest()
 
 
-def test_closed_form_digests_pinned():
-    # Digests of the closed form taken before the Grassmannian and flag
-    # closed forms were one code path; both must stay byte-identical.
-    grass = []
-    for m, n in product(range(6), repeat=2):
-        for p, q, a, b in product(range(m + 1), range(n + 1), SMALL_SHAPES, SMALL_SHAPES):
-            spec = bundle(p, q, m, n, a, b)
-            if hypothesis_case(spec) is not HypothesisCase.NONE:
-                grass.append(([p, q, m, n, list(a), list(b)], main_theorem_char(spec)))
-    flags = []
+def two_step_flags():
+    # the two-step flag bundles under the hypothesis with m <= 5, n <= 3 and
+    # |alpha|, |beta| <= 2, in the order of their pinned digest
     for m, n in product(range(6), range(4)):
         for p1, q1 in product(range(m + 1), range(n + 1)):
             for p2, q2, a, b in product(
@@ -690,11 +765,23 @@ def test_closed_form_digests_pinned():
                     f = FlagSpec(((p1, q1), (p2, q2)), SuperDim(m, n), a, b)
                 except ValueError:
                     continue
-                try:
-                    gc = main_theorem_char(f)
-                except HypothesisError:
-                    continue
-                flags.append(([p1, q1, p2, q2, m, n, list(a), list(b)], gc))
+                if hypothesis_case(f) is not HypothesisCase.NONE:
+                    yield f
+
+
+def test_closed_form_digests_pinned():
+    # Digests of the closed form taken before the Grassmannian and flag
+    # closed forms were one code path; both must stay byte-identical.
+    grass = []
+    for m, n in product(range(6), repeat=2):
+        for p, q, a, b in product(range(m + 1), range(n + 1), SMALL_SHAPES, SMALL_SHAPES):
+            spec = bundle(p, q, m, n, a, b)
+            if hypothesis_case(spec) is not HypothesisCase.NONE:
+                grass.append(([p, q, m, n, list(a), list(b)], main_theorem_char(spec)))
+    flags = [
+        ([*f.steps[0], *f.steps[1], f.m, f.n, list(f.alpha), list(f.beta)], main_theorem_char(f))
+        for f in two_step_flags()
+    ]
     assert (len(grass), len(flags)) == (2509, 764)
     assert closed_form_digest(grass) == "abb12f8d78dc78c58769519b22347cf2e8f47d61c173dc326cd50fbedad0bfb8"
     assert closed_form_digest(flags) == "220489dc8e43bc65f5728ca644db031057b040fd3a255ea7c4edc6a4fb12e391"
